@@ -18,6 +18,11 @@ block already sees z_{t+1}.  The diminishing dual schedule keeps every
 dual increment below sigma0 / (t ln^2(t+1)), a summable series, so the
 dual iterates stay bounded no matter how the primal residuals behave.
 
+Each iteration evaluates G once, at z_{t+1}, and runs one VJP of G: the
+state carries the generator tape of z_t (and, with the linearized w-step,
+grad L(w_t)) from the step that produced it, so z_t is never re-traced.
+A state built by hand has no tape yet, and its first step computes one.
+
 The iteration stops once
 
     ||z_{t+1} - z_t||^2 / alpha + ||w_{t+1} - w_t||^2 / beta
@@ -32,7 +37,7 @@ stage boundaries and using the exact w minimizer throughout.
 import dataclasses
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -121,13 +126,24 @@ class AdmmConfig:
 
 @dataclass(frozen=True)
 class AdmmState:
-    """Iterates after t - 1 completed iterations (t starts at 1)."""
+    """Iterates after t - 1 completed iterations (t starts at 1).
+
+    tape (the generator Tape at z) and w_grad (the pair (w, grad L(w))) are
+    caches that initial_state and admm_step fill so the next step need not
+    recompute them.  Each is tied to the very array it was computed from and
+    is dropped when that array is not this state's z or w, so a state built
+    by hand or through dataclasses.replace(state, z=...) recomputes rather
+    than reads stale values.  The iterate arrays are treated as immutable,
+    and a state's caches belong to the problem whose steps produced it.
+    """
 
     w: np.ndarray
     z: np.ndarray
     lam: np.ndarray
     sigma: float
     t: int
+    tape: object = field(default=None, repr=False, compare=False)
+    w_grad: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "w", np.asarray(self.w, dtype=float))
@@ -137,6 +153,10 @@ class AdmmState:
             raise ValueError("sigma must be strictly positive")
         if self.t < 1:
             raise ValueError("iteration counter t is 1-based")
+        if self.tape is not None and self.tape.z is not self.z:
+            object.__setattr__(self, "tape", None)
+        if self.w_grad is not None and self.w_grad[0] is not self.w:
+            object.__setattr__(self, "w_grad", None)
 
 
 @dataclass(frozen=True)
@@ -159,11 +179,13 @@ class SplitProblem:
 
 
 def initial_state(problem, cfg, z0, w0=None, lam0=None):
-    """Fresh state at t = 1: w defaults to G(z0), the dual to zero."""
+    """Fresh state at t = 1 carrying the tape of z0: w defaults to G(z0),
+    the dual to zero."""
     z0 = np.asarray(z0, dtype=float)
-    w0 = problem.gen.forward(z0) if w0 is None else np.asarray(w0, dtype=float)
+    tape = problem.gen.forward(z0, return_tape=True)
+    w0 = tape.output if w0 is None else np.asarray(w0, dtype=float)
     lam0 = np.zeros(w0.size) if lam0 is None else np.asarray(lam0, dtype=float)
-    return AdmmState(w=w0, z=z0, lam=lam0, sigma=cfg.sigma0, t=1)
+    return AdmmState(w=w0, z=z0, lam=lam0, sigma=cfg.sigma0, t=1, tape=tape)
 
 
 def aug_lagrangian(loss, gen, w, z, lam, rho):
@@ -230,7 +252,7 @@ def exact_w_min(loss, gz, lam, rho):
         return (loss.target - lam + rho * gz) / (1.0 + rho)
     if isinstance(loss, LeastSquares):
         _, s, vt = loss.svd()
-        rhs = loss.matrix.T @ loss.rhs - lam + rho * gz
+        rhs = loss.normal_rhs() - lam + rho * gz
         coeff = vt @ rhs
         w = vt.T @ (coeff / (s * s + rho))
         return w + (rhs - vt.T @ coeff) / rho
@@ -261,6 +283,11 @@ def _check_exact_mode(problem, cfg):
 def admm_step(problem, cfg, state, planted=None):
     """One full iteration; returns (new_state, trace_record).
 
+    Runs one generator forward pass (at z_{t+1}) and one VJP (at z_t, from
+    the state's tape), plus one loss evaluation at w_{t+1} that also yields
+    grad L(w_{t+1}) for the next linearized w-step.  A state without a tape
+    or gradient cache first computes what it lacks.
+
     The record is evaluated at the new iterate (its Lagrangian uses the new
     dual) except for the stopping metric, which by construction mixes the
     displacement with the previous sigma and feasibility gap.  wall_ns is
@@ -270,19 +297,24 @@ def admm_step(problem, cfg, state, planted=None):
     loss, gen = problem.loss, problem.gen
     rho = cfg.rho
     w, z, lam = state.w, state.z, state.lam
+    exact = cfg.w_step == "exact"
 
-    gz = gen.forward(z)
-    resid = w - gz
+    tape = state.tape if state.tape is not None else gen.forward(z, return_tape=True)
+    resid = w - tape.output
     gap = float(np.linalg.norm(resid))
 
-    z_new = problem.reg_z.prox(z + cfg.beta * gen.vjp(z, lam + rho * resid), cfg.beta)
+    z_new = problem.reg_z.prox(
+        z + cfg.beta * gen.vjp(z, lam + rho * resid, tape=tape), cfg.beta
+    )
     _ensure_finite(z_new, "z", state.t)
-    gz_new = gen.forward(z_new)
+    tape_new = gen.forward(z_new, return_tape=True)
+    gz_new = tape_new.output
 
-    if cfg.w_step == "exact":
+    if exact:
         w_new = exact_w_min(loss, gz_new, lam, rho)
     else:
-        g = loss.grad(w) + lam + rho * (w - gz_new)
+        grad_w = state.w_grad[1] if state.w_grad is not None else loss.grad(w)
+        g = grad_w + lam + rho * (w - gz_new)
         w_new = problem.reg_w.prox(w - cfg.alpha * g, cfg.alpha)
     _ensure_finite(w_new, "w", state.t)
 
@@ -292,7 +324,11 @@ def admm_step(problem, cfg, state, planted=None):
     lam_new = lam + sigma_new * resid_new
     _ensure_finite(lam_new, "lambda", state.t)
 
-    loss_new = loss.value(w_new)
+    if exact:
+        loss_new, w_grad_new = loss.value(w_new), None
+    else:
+        loss_new, grad_new = loss.value_and_grad(w_new)
+        w_grad_new = (w_new, grad_new)
     lagrangian = (
         loss_new + float(np.dot(lam_new, resid_new)) + 0.5 * rho * gap_new**2
     )
@@ -323,7 +359,8 @@ def admm_step(problem, cfg, state, planted=None):
         dist_z=dist_z,
     )
     new_state = AdmmState(
-        w=w_new, z=z_new, lam=lam_new, sigma=sigma_new, t=state.t + 1
+        w=w_new, z=z_new, lam=lam_new, sigma=sigma_new, t=state.t + 1,
+        tape=tape_new, w_grad=w_grad_new,
     )
     return new_state, record
 

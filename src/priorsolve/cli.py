@@ -36,11 +36,13 @@ from .config import (
     ConfigError,
     gd_settings,
     load_problem,
+    open_generator,
     parse_config,
     solver_settings,
+    step_geometry,
 )
 from .gd import run_gd, tune_gd_step
-from .generator import estimate_geometry, load_generator
+from .generator import estimate_geometry
 from .harness import DegenerateTrace, best_lagrangian, build_instance, fit_rate
 from .harness import plateau_vs_rho
 from .trace import write_summary_csv, write_trace_csv
@@ -127,8 +129,9 @@ def cmd_compare(args):
     os.makedirs(args.out_dir, exist_ok=True)
     z0 = np.zeros(gen.input_dim)
 
-    admm_cfg = solver_settings(settings, gen, inst, method="admm")
-    eadmm_cfg = solver_settings(settings, gen, inst, method="eadmm")
+    geometry = step_geometry(settings, gen)
+    admm_cfg = solver_settings(settings, gen, inst, method="admm", geometry=geometry)
+    eadmm_cfg = solver_settings(settings, gen, inst, method="eadmm", geometry=geometry)
     gd_cfg = gd_settings(settings, fallback_step=admm_cfg.beta)
 
     traces = {}
@@ -159,10 +162,7 @@ def cmd_compare(args):
 
 
 def cmd_estimate_geometry(args):
-    try:
-        gen = load_generator(args.generator)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot load generator: {exc}") from None
+    gen = open_generator(args.generator)
     est = estimate_geometry(gen, args.pairs, seed=args.seed)
     print(f"iota_hat={_fmt(est.iota_hat)}")
     print(f"kappa_hat={_fmt(est.kappa_hat)}")
@@ -178,10 +178,7 @@ def cmd_estimate_geometry(args):
 
 
 def cmd_plateau_sweep(args):
-    try:
-        gen = load_generator(args.generator)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot load generator: {exc}") from None
+    gen = open_generator(args.generator)
     rows = plateau_vs_rho(
         gen,
         rho_values=args.rho_values,
@@ -208,10 +205,7 @@ def cmd_plateau_sweep(args):
 
 
 def cmd_tune_gd(args):
-    try:
-        gen = load_generator(args.generator)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot load generator: {exc}") from None
+    gen = open_generator(args.generator)
     inst = build_instance(gen, args.kind, noise_level=args.noise, seed=args.seed)
     rng = np.random.default_rng(args.start_seed)
     z0s = [rng.standard_normal(gen.input_dim) for _ in range(args.starts)]

@@ -55,7 +55,9 @@ __all__ = [
     "ConfigError",
     "RunSettings",
     "parse_config",
+    "open_generator",
     "load_problem",
+    "step_geometry",
     "solver_settings",
     "gd_settings",
 ]
@@ -276,12 +278,17 @@ def parse_config(path, command="run"):
     )
 
 
-def load_problem(settings):
-    """Materialize (generator, planted instance) for parsed settings."""
+def open_generator(path):
+    """load_generator, with a missing or malformed file as a ConfigError."""
     try:
-        gen = load_generator(settings.generator_path)
+        return load_generator(path)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot load generator: {exc}") from None
+
+
+def load_problem(settings):
+    """Materialize (generator, planted instance) for parsed settings."""
+    gen = open_generator(settings.generator_path)
     inst = build_instance(
         gen,
         settings.kind,
@@ -299,19 +306,29 @@ def _stage_total(stages, stage_iters):
     return stage_iters * (2 ** (stages + 1) - 2)
 
 
-def solver_settings(settings, gen, inst, method=None):
+def step_geometry(settings, gen):
+    """The geometry estimate that suggests omitted step sizes, or None when
+    the settings give both alpha and beta."""
+    if settings.alpha is not None and settings.beta is not None:
+        return None
+    return estimate_geometry(gen, settings.geometry_pairs, seed=0)
+
+
+def solver_settings(settings, gen, inst, method=None, geometry=None):
     """AdmmConfig for the splitting solvers, filling omitted step sizes.
 
     method overrides settings.method (compare needs configs for both
     splitting variants from one file).  Suggested steps use the loss
-    smoothness for alpha and estimated geometry for beta.
+    smoothness for alpha and estimated geometry for beta; geometry, the
+    result of step_geometry, spares a second estimate when one file yields
+    several configs.
     """
     method = settings.method if method is None else method
     if method not in ("admm", "eadmm"):
         raise ValueError(f"not a splitting method: {method!r}")
     alpha, beta = settings.alpha, settings.beta
     if alpha is None or beta is None:
-        est = estimate_geometry(gen, settings.geometry_pairs, seed=0)
+        est = step_geometry(settings, gen) if geometry is None else geometry
         sug_alpha, sug_beta = suggest_step_sizes(
             inst.problem.loss, est.kappa_hat, settings.rho
         )

@@ -4,7 +4,10 @@ The baseline the splitting solver is measured against: plain descent on
 the smooth composition, blind to any nonsmooth penalty R on the output
 side.  Its trace uses the common schema with the w-columns reporting
 G(z_t), a feasibility gap of exactly zero (iterates live on the range of
-G by construction), and the gradient norm as the stopping metric.
+G by construction), and the gradient norm as the stopping metric.  Each
+iteration runs one generator forward pass at the new point, keeps its
+tape, and runs one VJP on that tape; one loss evaluation gives both the
+objective and the cotangent grad L(G(z)).
 
 After an exact w minimization and the following dual update, one ADMM
 z-step and one GD step from the same latent point differ by at most
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admm import NonFiniteError
+from .admm import NonFiniteError, _ensure_finite
 from .trace import RunTrace, TraceRecord
 
 __all__ = [
@@ -50,9 +53,12 @@ class GdConfig:
             raise ValueError("grad_tol must be strictly positive")
 
 
-def grad_h(loss, gen, z):
-    """grad h(z) = DG(z)^T grad L(G(z))."""
-    return gen.vjp(z, loss.grad(gen.forward(z)))
+def grad_h(loss, gen, z, tape=None):
+    """grad h(z) = DG(z)^T grad L(G(z)); tape, the generator tape of z,
+    spares the forward pass."""
+    if tape is None:
+        tape = gen.forward(z, return_tape=True)
+    return gen.vjp(z, loss.grad(tape.output), tape=tape)
 
 
 def run_gd(loss, gen, cfg, z0, planted=None, observer=None):
@@ -65,16 +71,18 @@ def run_gd(loss, gen, cfg, z0, planted=None, observer=None):
     z = np.asarray(z0, dtype=float)
     trace = RunTrace()
     t0 = time.perf_counter_ns()
-    g = grad_h(loss, gen, z)
-    gz = gen.forward(z)
+    tape = gen.forward(z, return_tape=True)
+    g = grad_h(loss, gen, z, tape)
+    gz = tape.output
     try:
         for t in range(1, cfg.max_iters + 1):
             z_new = z - cfg.step * g
             _ensure_finite(z_new, "z", t)
-            gz_new = gen.forward(z_new)
-            g_new = grad_h(loss, gen, z_new)
+            tape = gen.forward(z_new, return_tape=True)
+            gz_new = tape.output
+            objective, loss_grad = loss.value_and_grad(gz_new)
+            g_new = gen.vjp(z_new, loss_grad, tape=tape)
             _ensure_finite(g_new, "gradient", t)
-            objective = loss.value(gz_new)
             if not math.isfinite(objective):
                 raise NonFiniteError("objective", t)
             grad_norm = float(np.linalg.norm(g_new))
@@ -108,11 +116,6 @@ def run_gd(loss, gen, cfg, z0, planted=None, observer=None):
     return z, trace
 
 
-def _ensure_finite(arr, name, iteration):
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteError(name, iteration)
-
-
 def gd_admm_discrepancy(loss, gen, kappa_hat, beta, sigma_t, w, z):
     """Bound beta (sigma_t kappa_hat + nu_L) ||w - G(z)|| on the one-step
     difference between the ADMM z-update and a GD step (see module
@@ -125,9 +128,10 @@ def gd_admm_discrepancy(loss, gen, kappa_hat, beta, sigma_t, w, z):
 def gd_admm_step_gap(loss, gen, beta, rho, state):
     """Actual ||z_admm - z_gd|| after one ADMM z-step (no z-penalty) and
     one GD step of size beta from state.z."""
-    resid = state.w - gen.forward(state.z)
-    z_admm = state.z + beta * gen.vjp(state.z, state.lam + rho * resid)
-    z_gd = state.z - beta * grad_h(loss, gen, state.z)
+    tape = gen.forward(state.z, return_tape=True)
+    resid = state.w - tape.output
+    z_admm = state.z + beta * gen.vjp(state.z, state.lam + rho * resid, tape=tape)
+    z_gd = state.z - beta * grad_h(loss, gen, state.z, tape)
     return float(np.linalg.norm(z_admm - z_gd))
 
 

@@ -17,6 +17,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,6 +26,7 @@ __all__ = [
     "Layer",
     "FeedforwardGenerator",
     "GeometryEstimate",
+    "Tape",
     "estimate_geometry",
     "perturb_weights",
     "save_generator",
@@ -33,7 +35,8 @@ __all__ = [
 
 ACTIVATION_KINDS = ("identity", "elu", "softplus", "tanh", "sigmoid")
 
-# relative threshold on the smallest singular value of each weight matrix
+# relative cutoff below which a singular value counts as zero: weight
+# matrices must clear it, and least-squares losses use it for strong convexity
 RANK_TOL = 1e-10
 
 # pairs closer than this are redrawn when sampling difference quotients
@@ -113,8 +116,24 @@ class Layer:
         object.__setattr__(self, "bias", b)
 
 
+class Tape(NamedTuple):
+    """Record of one forward pass: the latent input z, the output G(z) and
+    the pre-activation of every layer, for the generator whose layers these
+    are.  vjp and jacobian read it instead of repeating the pass."""
+
+    z: np.ndarray
+    output: np.ndarray
+    preacts: tuple
+    layers: tuple
+
+
 class FeedforwardGenerator:
     """Stack of affine-plus-activation layers with non-decreasing widths.
+
+    One forward pass costs one matvec per layer.  forward(z, return_tape=True)
+    returns the pass as a Tape; handing that tape to vjp or jacobian at the
+    same z skips their own forward pass, so a solver that keeps the tape of
+    its current point pays one forward and one backward pass per gradient.
 
     Parameters
     ----------
@@ -170,36 +189,48 @@ class FeedforwardGenerator:
         return (self.input_dim,) + tuple(l.weight.shape[0] for l in self.layers)
 
     def _forward_trace(self, z):
-        """Output together with the per-layer pre-activations."""
-        x = np.asarray(z, dtype=float)
-        if x.shape != (self.input_dim,):
+        z = x = np.asarray(z, dtype=float)
+        if z.shape != (self.input_dim,):
             raise ValueError(f"expected input of shape ({self.input_dim},)")
         preacts = []
         for layer in self.layers:
             a = layer.weight @ x + layer.bias
             preacts.append(a)
             x = layer.activation.value(a)
-        return x, preacts
+        return Tape(z, x, tuple(preacts), self.layers)
 
-    def forward(self, z):
-        """Evaluate G(z)."""
-        return self._forward_trace(z)[0]
+    def _tape_at(self, z, tape):
+        """tape when it was recorded by this generator at z, else a new pass."""
+        if tape is None:
+            return self._forward_trace(z)
+        if tape.layers is not self.layers:
+            raise ValueError("tape was recorded by a different generator")
+        if tape.z is not z and not np.array_equal(tape.z, z):
+            raise ValueError("tape was recorded at a different latent point")
+        return tape
 
-    def jacobian(self, z):
-        """Dense Jacobian DG(z), shape (output_dim, input_dim)."""
-        _, preacts = self._forward_trace(z)
+    def forward(self, z, return_tape=False):
+        """Evaluate G(z); with return_tape, the whole pass as a Tape (whose
+        output is G(z))."""
+        tape = self._forward_trace(z)
+        return tape if return_tape else tape.output
+
+    def jacobian(self, z, tape=None):
+        """Dense Jacobian DG(z), shape (output_dim, input_dim).  A tape from
+        forward(z, return_tape=True) replaces the internal forward pass."""
         jac = None
-        for layer, a in zip(self.layers, preacts):
+        for layer, a in zip(self.layers, self._tape_at(z, tape).preacts):
             step = layer.activation.derivative(a)[:, None] * layer.weight
             jac = step if jac is None else step @ jac
         return jac
 
-    def vjp(self, z, u):
-        """Vector-Jacobian product DG(z)^T u in one forward and one backward pass."""
+    def vjp(self, z, u, tape=None):
+        """Vector-Jacobian product DG(z)^T u in one backward pass, preceded by
+        a forward pass unless the tape of z is given."""
         u = np.asarray(u, dtype=float)
         if u.shape != (self.output_dim,):
             raise ValueError(f"expected cotangent of shape ({self.output_dim},)")
-        _, preacts = self._forward_trace(z)
+        preacts = self._tape_at(z, tape).preacts
         v = u
         for layer, a in zip(reversed(self.layers), reversed(preacts)):
             v = layer.weight.T @ (layer.activation.derivative(a) * v)
@@ -240,7 +271,8 @@ def estimate_geometry(gen, n_pairs, seed):
     Pairs are drawn sequentially from one generator stream, so estimates
     with a larger n_pairs and the same seed extend the smaller sample and
     are monotone in it.  Degenerate pairs (distance below 1e-12) are
-    redrawn.
+    redrawn.  Each pair costs two forward passes; the Jacobian at z1 reuses
+    the tape of the first.
     """
     if n_pairs < 1:
         raise ValueError("n_pairs must be at least 1")
@@ -257,12 +289,13 @@ def estimate_geometry(gen, n_pairs, seed):
             dist = float(np.linalg.norm(z2 - z1))
             if dist >= DEGENERATE_PAIR_TOL:
                 break
-        g1 = gen.forward(z1)
+        tape1 = gen.forward(z1, return_tape=True)
+        g1 = tape1.output
         g2 = gen.forward(z2)
         ratio = float(np.linalg.norm(g2 - g1)) / dist
         iota = min(iota, ratio)
         kappa = max(kappa, ratio)
-        rem = g2 - g1 - gen.jacobian(z1) @ (z2 - z1)
+        rem = g2 - g1 - gen.jacobian(z1, tape=tape1) @ (z2 - z1)
         nu = max(nu, 2.0 * float(np.linalg.norm(rem)) / dist**2)
     return GeometryEstimate(
         iota_hat=iota,

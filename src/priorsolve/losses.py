@@ -1,6 +1,7 @@
 """Smooth data-fit terms L with known curvature constants.
 
-Each loss exposes value, gradient, and convexity_constants() returning
+Each loss exposes value, gradient, value_and_grad (both from one
+evaluation where they share work), and convexity_constants() returning
 (mu, nu) such that
 
     (mu/2) ||v - w||^2 <= L(v) - L(w) - <grad L(w), v - w> <= (nu/2) ||v - w||^2.
@@ -14,10 +15,9 @@ so rate diagnostics that rely on mu > 0 should be skipped.
 
 import numpy as np
 
-__all__ = ["QuadraticDenoise", "LeastSquares", "ScaledQuadratic"]
+from .generator import RANK_TOL
 
-# relative cutoff below which a singular value counts as zero
-RANK_TOL = 1e-10
+__all__ = ["QuadraticDenoise", "LeastSquares", "ScaledQuadratic"]
 
 
 class SmoothLoss:
@@ -36,6 +36,10 @@ class SmoothLoss:
 
     def grad(self, w):
         raise NotImplementedError
+
+    def value_and_grad(self, w):
+        """(value(w), grad(w)); losses whose two share work override it."""
+        return self.value(w), self.grad(w)
 
     def convexity_constants(self):
         """(mu, nu): strong convexity and smoothness moduli."""
@@ -92,7 +96,7 @@ class ScaledQuadratic(SmoothLoss):
 
 
 class LeastSquares(SmoothLoss):
-    """L(w) = 0.5 ||A w - b||^2 with a lazily cached SVD of A."""
+    """L(w) = 0.5 ||A w - b||^2 with a lazily cached SVD of A and A^T b."""
 
     def __init__(self, matrix, rhs):
         self.matrix = np.asarray(matrix, dtype=float)
@@ -106,12 +110,19 @@ class LeastSquares(SmoothLoss):
             )
         self.dim = self.matrix.shape[1]
         self._svd = None
+        self._normal_rhs = None
 
     def svd(self):
         """Reduced SVD (u, s, vt) of A, computed once on first use."""
         if self._svd is None:
             self._svd = np.linalg.svd(self.matrix, full_matrices=False)
         return self._svd
+
+    def normal_rhs(self):
+        """A^T b, computed once on first use."""
+        if self._normal_rhs is None:
+            self._normal_rhs = self.matrix.T @ self.rhs
+        return self._normal_rhs
 
     def value(self, w):
         w = self._check(w)
@@ -121,6 +132,12 @@ class LeastSquares(SmoothLoss):
     def grad(self, w):
         w = self._check(w)
         return self.matrix.T @ (self.matrix @ w - self.rhs)
+
+    def value_and_grad(self, w):
+        """value and grad from one residual r = A w - b."""
+        w = self._check(w)
+        r = self.matrix @ w - self.rhs
+        return 0.5 * float(np.sum(r * r)), self.matrix.T @ r
 
     @property
     def strongly_convex(self):

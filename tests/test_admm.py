@@ -51,12 +51,16 @@ def base_config(**overrides):
 
 
 class RecordingGenerator:
-    """Duck-typed wrapper that logs forward/vjp arguments."""
+    """Duck-typed wrapper that logs forward/vjp arguments, the tapes forward
+    hands out and the tapes vjp is given (None means vjp ran its own forward
+    pass)."""
 
     def __init__(self, inner):
         self.inner = inner
         self.forward_args = []
+        self.forward_tapes = []
         self.vjp_args = []
+        self.vjp_tapes = []
 
     @property
     def input_dim(self):
@@ -66,13 +70,16 @@ class RecordingGenerator:
     def output_dim(self):
         return self.inner.output_dim
 
-    def forward(self, z):
+    def forward(self, z, return_tape=False):
         self.forward_args.append(np.array(z))
-        return self.inner.forward(z)
+        out = self.inner.forward(z, return_tape=return_tape)
+        self.forward_tapes.append(out if return_tape else None)
+        return out
 
-    def vjp(self, z, u):
+    def vjp(self, z, u, tape=None):
         self.vjp_args.append((np.array(z), np.array(u)))
-        return self.inner.vjp(z, u)
+        self.vjp_tapes.append(tape)
+        return self.inner.vjp(z, u, tape=tape)
 
 
 class RecordingLoss(QuadraticDenoise):
@@ -235,19 +242,24 @@ def test_admm_step_update_order_and_hand_recomputation():
     z1 = problem.reg_z.prox(z0 + cfg.beta * inner.vjp(z0, vu), cfg.beta)
     np.testing.assert_allclose(new.z, z1, atol=1e-14)
 
-    # the w update must read (w_t, z_{t+1}, lam_t)
-    assert len(loss.grad_args) == 1
+    # the w update must read (w_t, z_{t+1}, lam_t); the hand-built state has
+    # no gradient cache, so grad L(w_t) is computed first, then grad L(w_{t+1})
+    # once more together with the loss value and carried in the new state
+    assert len(loss.grad_args) == 2
     np.testing.assert_array_equal(loss.grad_args[0], w0)
     gz1 = inner.forward(z1)
     w1 = problem.reg_w.prox(
         w0 - cfg.alpha * (loss.grad(w0) + lam0 + cfg.rho * (w0 - gz1)), cfg.alpha
     )
     np.testing.assert_allclose(new.w, w1, atol=1e-14)
+    np.testing.assert_array_equal(loss.grad_args[1], new.w)
 
-    # generator forward evaluations: old z then new z (vjp logged separately)
+    # generator forward evaluations: old z (the hand-built state has no tape)
+    # then new z; the one vjp runs on the tape of the old z, not its own pass
     assert len(gen.forward_args) == 2
     np.testing.assert_array_equal(gen.forward_args[0], z0)
     np.testing.assert_allclose(gen.forward_args[1], z1, atol=0)
+    assert gen.vjp_tapes[0] is gen.forward_tapes[0]
 
     # dual update with the step-size schedule at t = 1
     gap1 = float(np.linalg.norm(w1 - gz1))
@@ -266,6 +278,25 @@ def test_admm_step_update_order_and_hand_recomputation():
     assert rec.feas_gap == gap1
     assert rec.sigma == sig1
     assert rec.t == 1
+
+    # a warm step from the produced state: one forward (at z_{t+1}), one vjp on
+    # the carried tape of z_t, and one gradient (at w_{t+1}); the w update
+    # reads the carried grad L(w_t) and matches the hand recomputation
+    n_grads = len(loss.grad_args)
+    new2, _ = admm_step(problem, cfg, new)
+    assert len(gen.forward_args) == 3
+    np.testing.assert_array_equal(gen.forward_args[2], new2.z)
+    assert len(gen.vjp_args) == 2
+    np.testing.assert_array_equal(gen.vjp_args[1][0], new.z)
+    assert gen.vjp_tapes[1] is gen.forward_tapes[1]
+    assert len(loss.grad_args) == n_grads + 1
+    np.testing.assert_array_equal(loss.grad_args[-1], new2.w)
+    gz2 = inner.forward(new2.z)
+    w2 = problem.reg_w.prox(
+        new.w - cfg.alpha * (loss.grad(new.w) + new.lam + cfg.rho * (new.w - gz2)),
+        cfg.alpha,
+    )
+    np.testing.assert_array_equal(new2.w, w2)
 
 
 def test_admm_step_prox_certificates():

@@ -111,6 +111,25 @@ def test_vjp_matches_dense_jacobian_transpose():
             assert np.abs(got - want).max() <= 1e-12
 
 
+def test_tape_is_checked_against_point_and_generator():
+    gen = random_net(18, kinds=("elu", "tanh"))
+    other = random_net(19, kinds=("elu", "tanh"))
+    z = np.array([0.3, -0.4])
+    u = np.ones(gen.output_dim)
+    tape = gen.forward(z, return_tape=True)
+    assert tape.z is z and len(tape.preacts) == len(gen.layers)
+    # an equal copy of z is the same point
+    np.testing.assert_array_equal(gen.vjp(z.copy(), u, tape=tape), gen.vjp(z, u))
+    with pytest.raises(ValueError, match="different latent point"):
+        gen.vjp(z + 1e-9, u, tape=tape)
+    with pytest.raises(ValueError, match="different latent point"):
+        gen.jacobian(np.zeros(3), tape=tape)
+    with pytest.raises(ValueError, match="different generator"):
+        other.vjp(z, u, tape=tape)
+    with pytest.raises(ValueError, match="cotangent"):
+        gen.vjp(z, np.ones(3), tape=tape)
+
+
 def test_constructor_rejects_bad_shapes():
     act = Activation("identity")
     with pytest.raises(ValueError):
