@@ -67,9 +67,6 @@ __all__ = [
 
 W_STEP_KINDS = ("linearized", "exact")
 
-# below this the schedule denominator is treated as vanishing
-DENOM_GUARD = 1e-300
-
 
 class NonFiniteError(RuntimeError):
     """A solver quantity left the floating-point range.  Carries the name of
@@ -214,17 +211,20 @@ def dual_step_size(sigma0, feas_gap, t):
 
     A vanishing denominator (tiny gap) falls back to sigma0; either way the
     dual increment sigma * gap never exceeds sigma0 / (t ln^2(t+1)).
+    feas_gap may be an array of per-row gaps, giving one step per row.
     """
     if sigma0 <= 0.0:
         raise ValueError("sigma0 must be strictly positive")
     if t < 1:
         raise ValueError("iteration counter t is 1-based")
-    if feas_gap < 0.0:
+    if _any(feas_gap < 0.0):
         raise ValueError("feasibility gap cannot be negative")
     denom = feas_gap * t * math.log(t + 1.0) ** 2
-    if denom < DENOM_GUARD:
-        return sigma0
-    return min(sigma0, sigma0 / denom)
+    # sigma0 / max(1, denom) == min(sigma0, sigma0 / denom), without dividing
+    # by a vanishing denom
+    if isinstance(denom, np.ndarray):
+        return sigma0 / np.fmax(1.0, denom)
+    return sigma0 / max(1.0, denom)
 
 
 def dual_norm_bound(lam0_norm, sigma0, t):
@@ -239,12 +239,14 @@ def dual_norm_bound(lam0_norm, sigma0, t):
 def exact_w_min(loss, gz, lam, rho):
     """Closed-form argmin_w AL(w, z, lam) given gz = G(z).
 
-    QuadraticDenoise:  (target - lam + rho gz) / (1 + rho).
+    QuadraticDenoise:  (target - lam + rho gz) / (1 + rho).  For a loss with
+    a (B, d) stack of targets, gz and lam are (B, d) and rho may be a (B, 1)
+    column: every row is solved at once with its own rho.
     LeastSquares:      (A^T A + rho I)^{-1} (A^T b - lam + rho gz), computed
     through the cached SVD of A; directions outside the row space are simply
     scaled by 1/rho, so rank-deficient and underdetermined A work unchanged.
     """
-    if rho <= 0.0:
+    if _any(rho <= 0.0):
         raise ValueError("rho must be strictly positive")
     gz = np.asarray(gz, dtype=float)
     lam = np.asarray(lam, dtype=float)
@@ -268,6 +270,13 @@ def stopping_metric(dz, dw, alpha, beta, sigma_prev, gap_prev):
         + float(np.dot(dw, dw)) / beta
         + sigma_prev * gap_prev**2
     )
+
+
+def _any(mask):
+    """True when a boolean scalar, or any entry of a boolean array, is set.
+    Scalars skip numpy's reduction, which costs microseconds per call in the
+    per-step argument checks."""
+    return mask.any() if isinstance(mask, np.ndarray) else mask
 
 
 def _ensure_finite(arr, name, iteration):

@@ -186,7 +186,6 @@ def cmd_plateau_sweep(args):
         noise_level=args.noise,
         iters=args.iters,
         sigma0=args.sigma0,
-        workers=args.workers,
     )
     for row in rows:
         print(
@@ -248,7 +247,6 @@ def build_parser():
     p.add_argument("--noise", type=float, default=0.1)
     p.add_argument("--iters", type=int, default=2000)
     p.add_argument("--sigma0", type=float, default=0.2)
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--out", default=None, help="CSV output path")
     p.set_defaults(func=cmd_plateau_sweep)
 

@@ -119,7 +119,9 @@ class Layer:
 class Tape(NamedTuple):
     """Record of one forward pass: the latent input z, the output G(z) and
     the pre-activation of every layer, for the generator whose layers these
-    are.  vjp and jacobian read it instead of repeating the pass."""
+    are.  For a batch z of shape (B, input_dim) every array carries the same
+    leading batch axis.  vjp and jacobian read it instead of repeating the
+    pass."""
 
     z: np.ndarray
     output: np.ndarray
@@ -134,6 +136,11 @@ class FeedforwardGenerator:
     returns the pass as a Tape; handing that tape to vjp or jacobian at the
     same z skips their own forward pass, so a solver that keeps the tape of
     its current point pays one forward and one backward pass per gradient.
+
+    forward and vjp also take a batch: z of shape (B, input_dim) and a
+    cotangent of shape (B, output_dim) give one row per latent, through the
+    same code (every layer acts on the last axis, so a batch pass costs one
+    matrix product per layer).  jacobian takes a single latent only.
 
     Parameters
     ----------
@@ -190,11 +197,13 @@ class FeedforwardGenerator:
 
     def _forward_trace(self, z):
         z = x = np.asarray(z, dtype=float)
-        if z.shape != (self.input_dim,):
-            raise ValueError(f"expected input of shape ({self.input_dim},)")
+        if z.ndim not in (1, 2) or z.shape[-1] != self.input_dim:
+            raise ValueError(
+                f"expected input of shape ({self.input_dim},) or (B, {self.input_dim})"
+            )
         preacts = []
         for layer in self.layers:
-            a = layer.weight @ x + layer.bias
+            a = x @ layer.weight.T + layer.bias
             preacts.append(a)
             x = layer.activation.value(a)
         return Tape(z, x, tuple(preacts), self.layers)
@@ -210,30 +219,36 @@ class FeedforwardGenerator:
         return tape
 
     def forward(self, z, return_tape=False):
-        """Evaluate G(z); with return_tape, the whole pass as a Tape (whose
-        output is G(z))."""
+        """Evaluate G(z), row by row for a batch of latents; with
+        return_tape, the whole pass as a Tape (whose output is G(z))."""
         tape = self._forward_trace(z)
         return tape if return_tape else tape.output
 
     def jacobian(self, z, tape=None):
-        """Dense Jacobian DG(z), shape (output_dim, input_dim).  A tape from
-        forward(z, return_tape=True) replaces the internal forward pass."""
+        """Dense Jacobian DG(z), shape (output_dim, input_dim), at a single
+        latent.  A tape from forward(z, return_tape=True) replaces the
+        internal forward pass."""
+        tape = self._tape_at(z, tape)
+        if tape.z.ndim != 1:
+            raise ValueError("jacobian takes a single latent, not a batch")
         jac = None
-        for layer, a in zip(self.layers, self._tape_at(z, tape).preacts):
+        for layer, a in zip(self.layers, tape.preacts):
             step = layer.activation.derivative(a)[:, None] * layer.weight
             jac = step if jac is None else step @ jac
         return jac
 
     def vjp(self, z, u, tape=None):
         """Vector-Jacobian product DG(z)^T u in one backward pass, preceded by
-        a forward pass unless the tape of z is given."""
+        a forward pass unless the tape of z is given.  For a batch of
+        latents, u holds one cotangent per row."""
+        tape = self._tape_at(z, tape)
         u = np.asarray(u, dtype=float)
-        if u.shape != (self.output_dim,):
-            raise ValueError(f"expected cotangent of shape ({self.output_dim},)")
-        preacts = self._tape_at(z, tape).preacts
+        expected = tape.z.shape[:-1] + (self.output_dim,)
+        if u.shape != expected:
+            raise ValueError(f"expected cotangent of shape {expected}")
         v = u
-        for layer, a in zip(reversed(self.layers), reversed(preacts)):
-            v = layer.weight.T @ (layer.activation.derivative(a) * v)
+        for layer, a in zip(reversed(self.layers), reversed(tape.preacts)):
+            v = (layer.activation.derivative(a) * v) @ layer.weight
         return v
 
 

@@ -27,18 +27,18 @@ they are noise around the attained floor -- and are excluded from the fit.
 
 ``plateau_vs_rho`` sweeps the penalty weight on noisy denoising instances and
 reports where the feasibility gap and the recovery error level off, averaged
-over seeds.  Set PRIORSOLVE_WORKERS (or the ``workers`` argument) to run the
-sweep's independent solves in parallel; results are identical either way.
+over seeds.  Its rho x seed solves are independent and identical in shape,
+so they run in lockstep as one batch: every iterate is a (B, d) array with
+one row per solve and rho and beta are per-row columns, so an iteration
+costs one batched generator pass and one batched VJP instead of B of each.
 """
 
 import dataclasses
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .admm import AdmmConfig, SplitProblem, initial_state, run
+from .admm import SplitProblem, _ensure_finite, dual_step_size, exact_w_min
 from .generator import estimate_geometry
 from .losses import LeastSquares, QuadraticDenoise, ScaledQuadratic
 from .prox import Regularizer
@@ -237,30 +237,6 @@ def fit_rate(trace, reference):
 # penalty sweep
 
 
-def _tail_mean(values):
-    values = np.asarray(values, dtype=float)
-    return float(np.mean(values[values.size - _tail_length(values.size) :]))
-
-
-def _plateau_run(args):
-    """One (rho, seed) solve; module level so worker processes can pickle it."""
-    gen, rho, seed, noise_level, iters, sigma0, beta = args
-    inst = build_instance(gen, "denoise_l2", noise_level=noise_level, seed=seed)
-    alpha = 1.0 / inst.problem.loss.convexity_constants()[1]
-    cfg = AdmmConfig(
-        rho=rho,
-        alpha=alpha,
-        beta=beta,
-        sigma0=sigma0,
-        tau_c=1e-300,  # burn the whole budget; plateaus come from the tail
-        max_iters=iters,
-        w_step="exact",
-    )
-    state = initial_state(inst.problem, cfg, np.zeros(gen.input_dim))
-    _, trace = run(inst.problem, cfg, state, planted=inst.planted)
-    return _tail_mean(trace.column("feas_gap")), _tail_mean(trace.column("dist_w"))
-
-
 def plateau_vs_rho(
     gen,
     rho_values,
@@ -269,51 +245,85 @@ def plateau_vs_rho(
     iters=2000,
     sigma0=0.2,
     geometry_pairs=2000,
-    workers=None,
 ):
     """Sweep the penalty weight on noisy denoising instances.
 
-    For each rho the exact-minimization solver is run on every seed and the
-    tail means of the feasibility gap and the recovery error are averaged.
+    For each rho, the exact-minimization solver runs iters iterations (no
+    early stop) from z = 0 on the denoise_l2 instance of every seed, with
+    beta = 1/(rho kappa_hat^2) from one geometry estimate; the tail means of
+    the feasibility gap and the recovery error are averaged over seeds.
     Returns one dict per rho, sorted ascending, with keys rho / gap_plateau /
-    err_plateau.  workers defaults to the PRIORSOLVE_WORKERS environment
-    variable (1 if unset); the output does not depend on the worker count.
+    err_plateau.
+
+    All rho x seed solves run in lockstep, one row each.  Row values equal
+    those of admm.run on that instance up to the rounding of batched matrix
+    products, and every iteration checks the whole batch in admm_step's
+    order, raising NonFiniteError(quantity, t) at the first failure.  Of
+    the feas_gap and dist_w columns only the tail window is kept.
     """
     rho_values = sorted(float(r) for r in rho_values)
     seeds = [int(s) for s in seeds]
     if len(rho_values) < 2:
         raise ValueError("need at least two rho values to compare plateaus")
+    if not all(math.isfinite(r) and r > 0.0 for r in rho_values):
+        raise ValueError("rho values must be finite and strictly positive")
     if len(set(rho_values)) != len(rho_values):
         raise ValueError("rho values must be distinct")
     if not seeds:
         raise ValueError("need at least one seed")
-    if workers is None:
-        workers = int(os.environ.get("PRIORSOLVE_WORKERS", "1"))
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
+    if iters < 1:
+        raise ValueError("iters must be at least 1")
+    if not sigma0 > 0.0:
+        raise ValueError("sigma0 must be strictly positive")
 
+    insts = [
+        build_instance(gen, "denoise_l2", noise_level=noise_level, seed=seed)
+        for seed in seeds
+    ]
     est = estimate_geometry(gen, geometry_pairs, seed=0)
-    jobs = []
-    for rho in rho_values:
-        beta = 1.0 / (rho * est.kappa_hat**2)  # matches suggest_step_sizes
-        for seed in seeds:
-            jobs.append((gen, rho, seed, noise_level, iters, sigma0, beta))
+    # row i * len(seeds) + j solves (rho_values[i], seeds[j])
+    tiles = (len(rho_values), 1)
+    targets = [inst.problem.loss.target for inst in insts]
+    loss = QuadraticDenoise(np.tile(targets, tiles))
+    w_star = np.tile([inst.w_star for inst in insts], tiles)
+    rho = np.repeat(rho_values, len(seeds))
+    beta = 1.0 / (rho * est.kappa_hat**2)  # matches suggest_step_sizes
+    if not np.all(beta > 0.0):
+        raise ValueError("rho too large: beta = 1/(rho kappa_hat^2) underflows")
+    rho_col, beta_col = rho[:, None], beta[:, None]
 
-    if workers == 1:
-        results = [_plateau_run(job) for job in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_plateau_run, jobs))
-
-    rows = []
-    per_rho = len(seeds)
-    for i, rho in enumerate(rho_values):
-        chunk = results[i * per_rho : (i + 1) * per_rho]
-        rows.append(
-            {
-                "rho": rho,
-                "gap_plateau": float(np.mean([c[0] for c in chunk])),
-                "err_plateau": float(np.mean([c[1] for c in chunk])),
-            }
+    z = np.zeros((rho.size, gen.input_dim))
+    tape = gen.forward(z, return_tape=True)
+    w = tape.output
+    lam = np.zeros_like(w)
+    tail = _tail_length(iters)
+    gaps = np.empty((tail, rho.size))
+    errs = np.empty_like(gaps)
+    for t in range(1, iters + 1):
+        # the instances have H = 0, whose prox is the identity
+        z = z + beta_col * gen.vjp(z, lam + rho_col * (w - tape.output), tape=tape)
+        _ensure_finite(z, "z", t)
+        tape = gen.forward(z, return_tape=True)
+        gz = tape.output
+        w = exact_w_min(loss, gz, lam, rho_col)
+        _ensure_finite(w, "w", t)
+        resid = w - gz
+        gap = np.linalg.norm(resid, axis=1)
+        lam = lam + dual_step_size(sigma0, gap, t)[:, None] * resid
+        _ensure_finite(lam, "lambda", t)
+        lagrangian = (
+            loss.value(w) + np.sum(lam * resid, axis=1) + 0.5 * rho * gap**2
         )
-    return rows
+        _ensure_finite(lagrangian, "lagrangian", t)
+        row = t - 1 - (iters - tail)
+        if row >= 0:
+            gaps[row] = gap
+            errs[row] = np.linalg.norm(w - w_star, axis=1)
+
+    per_rho = (len(rho_values), len(seeds))
+    gap_plateaus = gaps.mean(axis=0).reshape(per_rho).mean(axis=1)
+    err_plateaus = errs.mean(axis=0).reshape(per_rho).mean(axis=1)
+    return [
+        {"rho": r, "gap_plateau": float(g), "err_plateau": float(e)}
+        for r, g, e in zip(rho_values, gap_plateaus, err_plateaus)
+    ]

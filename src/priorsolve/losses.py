@@ -25,10 +25,15 @@ class SmoothLoss:
 
     dim = None
 
+    @property
+    def shape(self):
+        """Shape of the argument w."""
+        return (self.dim,)
+
     def _check(self, w):
         w = np.asarray(w, dtype=float)
-        if w.shape != (self.dim,):
-            raise ValueError(f"expected argument of shape ({self.dim},)")
+        if w.shape != self.shape:
+            raise ValueError(f"expected argument of shape {self.shape}")
         return w
 
     def value(self, w):
@@ -47,17 +52,26 @@ class SmoothLoss:
 
 
 class QuadraticDenoise(SmoothLoss):
-    """L(w) = 0.5 ||w - target||^2, with mu = nu = 1."""
+    """L(w) = 0.5 ||w - target||^2, with mu = nu = 1.
+
+    A (B, d) stack of targets holds B such losses, one per row: w is then
+    (B, d) too and value returns the B row values.
+    """
 
     def __init__(self, target):
         self.target = np.asarray(target, dtype=float)
-        if self.target.ndim != 1:
-            raise ValueError("target must be a vector")
-        self.dim = self.target.size
+        if self.target.ndim not in (1, 2):
+            raise ValueError("target must be a vector or a stack of vectors")
+        self.dim = self.target.shape[-1]
+
+    @property
+    def shape(self):
+        return self.target.shape
 
     def value(self, w):
         w = self._check(w)
-        return 0.5 * float(np.sum((w - self.target) ** 2))
+        sq = np.sum((w - self.target) ** 2, axis=-1)
+        return 0.5 * (sq if sq.ndim else float(sq))
 
     def grad(self, w):
         w = self._check(w)

@@ -265,6 +265,19 @@ def test_plateau_sweep_single_rho(tmp_path, capsys):
     assert "error: config:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "extra", [["--rho-values=1,2", "--iters", "0"], ["--rho-values=0,1"]]
+)
+def test_plateau_sweep_rejects_bad_input_with_one_line(tmp_path, capsys, extra):
+    _, gen_path = write_generator(tmp_path)
+    rc = main(["plateau-sweep", "--generator", str(gen_path), *extra])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: config:")
+
+
 def test_tune_gd(tmp_path, capsys):
     _, gen_path = write_generator(tmp_path)
     rc = main(

@@ -1,9 +1,12 @@
 """Tests for planted instances, rate fitting, and the penalty sweep."""
 
+import math
+
 import numpy as np
 import pytest
 
-from priorsolve.admm import AdmmConfig, run, initial_state
+from priorsolve.admm import AdmmConfig, NonFiniteError, run, initial_state
+from priorsolve.generator import estimate_geometry
 from priorsolve.harness import (
     DegenerateTrace,
     PlantedInstance,
@@ -195,23 +198,85 @@ def test_plateau_vs_rho_rows():
     assert rows[1]["gap_plateau"] < rows[0]["gap_plateau"]
 
 
-def test_plateau_vs_rho_parallel_matches_serial(monkeypatch):
+def serial_tails(gen, rho, seed, noise_level, iters, sigma0, geometry_pairs=2000):
+    """One (rho, seed) solve of the sweep through the single-instance path:
+    initial_state + run with the exact w-step, beta from the geometry
+    estimate, and no early stop.  Returns the tail means of feas_gap and
+    dist_w over the last 20% of the rows (at least 10)."""
+    inst = build_instance(gen, "denoise_l2", noise_level=noise_level, seed=seed)
+    kappa = estimate_geometry(gen, geometry_pairs, seed=0).kappa_hat
+    cfg = AdmmConfig(
+        rho=rho, alpha=1.0, beta=1.0 / (rho * kappa**2), sigma0=sigma0,
+        tau_c=1e-300, max_iters=iters, w_step="exact",
+    )
+    state = initial_state(inst.problem, cfg, np.zeros(gen.input_dim))
+    _, trace = run(inst.problem, cfg, state, planted=inst.planted)
+    tail = min(iters, max(10, math.ceil(0.2 * iters)))
+    return tuple(
+        float(np.mean(trace.column(name)[-tail:])) for name in ("feas_gap", "dist_w")
+    )
+
+
+def test_plateau_vs_rho_lockstep_matches_serial():
     gen = random_net(seed=11, sizes=(2, 6), kinds=("elu",), scale=0.8)
-    kw = dict(rho_values=(1.0, 4.0), seeds=(0,), noise_level=0.1, iters=150)
-    serial = plateau_vs_rho(gen, workers=1, **kw)
-    parallel = plateau_vs_rho(gen, workers=2, **kw)
-    assert serial == parallel
-    monkeypatch.setenv("PRIORSOLVE_WORKERS", "2")
-    from_env = plateau_vs_rho(gen, **kw)
-    assert serial == from_env
+    rhos, seeds = (0.5, 1.0, 4.0), (0, 1, 2)
+    kw = dict(noise_level=0.1, iters=150, sigma0=0.2)
+    rows = plateau_vs_rho(gen, rho_values=rhos, seeds=seeds, **kw)
+    for rho, row in zip(rhos, rows):
+        tails = np.array([serial_tails(gen, rho, seed, **kw) for seed in seeds])
+        assert row["rho"] == rho
+        np.testing.assert_allclose(
+            [row["gap_plateau"], row["err_plateau"]], tails.mean(axis=0), rtol=1e-12
+        )
+
+
+@pytest.mark.parametrize(
+    "tiny_rho, sigma0, noise",
+    [(1e-200, 0.2, 0.1), (1e-300, 1e10, 1e10)],
+)
+def test_plateau_vs_rho_diverging_row_fails_like_its_serial_run(
+    tiny_rho, sigma0, noise
+):
+    """A tiny rho gives a huge z step; that row alone overflows, and the
+    batch reports the quantity and iteration its serial run reports."""
+    gen = random_net(seed=11, sizes=(2, 6), kinds=("elu",), scale=0.8)
+    kw = dict(noise_level=noise, iters=30, sigma0=sigma0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for seed in (0, 1):
+            assert all(map(math.isfinite, serial_tails(gen, 1.0, seed, **kw)))
+        with pytest.raises(NonFiniteError) as serial:
+            serial_tails(gen, tiny_rho, 0, **kw)
+        with pytest.raises(NonFiniteError) as lockstep:
+            plateau_vs_rho(gen, rho_values=(1.0, tiny_rho), seeds=(0, 1), **kw)
+    assert serial.value.iteration > 1
+    assert (lockstep.value.quantity, lockstep.value.iteration) == (
+        serial.value.quantity,
+        serial.value.iteration,
+    )
 
 
 def test_plateau_vs_rho_validation():
     gen = random_net(seed=11, sizes=(2, 6), kinds=("elu",), scale=0.8)
-    with pytest.raises(ValueError):
-        plateau_vs_rho(gen, rho_values=(1.0,), seeds=(0,))
-    with pytest.raises(ValueError):
-        plateau_vs_rho(gen, rho_values=(1.0, 2.0), seeds=())
+    args = dict(rho_values=(1.0, 2.0), seeds=(0,), iters=20, geometry_pairs=10)
+    bad = [
+        dict(rho_values=(1.0,)),
+        dict(seeds=()),
+        dict(rho_values=(1.0, 1.0)),
+        dict(rho_values=(0.0, 1.0)),
+        dict(rho_values=(-1.0, 1.0)),
+        dict(rho_values=(1.0, math.inf)),
+        dict(rho_values=(1.0, math.nan)),
+        dict(rho_values=(1.0, 1e308)),  # beta = 1/(rho kappa^2) underflows
+        dict(iters=0),
+        dict(iters=-1),
+        dict(sigma0=0.0),
+        dict(sigma0=math.nan),
+        dict(noise_level=-0.1),
+        dict(seeds=(0, -1)),
+    ]
+    for kw in bad:
+        with pytest.raises(ValueError), np.errstate(over="ignore"):
+            plateau_vs_rho(gen, **{**args, **kw})
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import priorsolve.config
+import priorsolve.harness
 from helpers import random_net
 from priorsolve.admm import (
     AdmmConfig,
@@ -19,6 +20,7 @@ from priorsolve.admm import (
 from priorsolve.cli import main
 from priorsolve.gd import GdConfig, run_gd
 from priorsolve.generator import FeedforwardGenerator, estimate_geometry
+from priorsolve.harness import build_instance, plateau_vs_rho
 from priorsolve.losses import LeastSquares, QuadraticDenoise
 from priorsolve.prox import Regularizer
 
@@ -160,3 +162,42 @@ def test_caches_survive_replacing_other_fields():
     gen.reset()
     admm_step(problem, cfg, moved)
     assert (gen.traces, gen.vjps) == (1, 1)
+
+
+def test_plateau_sweep_runs_one_batched_forward_per_iteration(monkeypatch):
+    """R rho values x S seeds for N iterations: N + 1 forward calls on the
+    whole (R*S, k) batch and N batched VJPs, besides the geometry estimate
+    and the instance builds."""
+
+    class ShapeLog(FeedforwardGenerator):
+        def __init__(self, inner):
+            super().__init__(inner.layers, inner.domain_radius)
+            self.forwards, self.vjps, self.inside = [], [], 0
+
+        def forward(self, z, return_tape=False):
+            if not self.inside:
+                self.forwards.append(np.shape(z))
+            return super().forward(z, return_tape=return_tape)
+
+        def vjp(self, z, u, tape=None):
+            self.vjps.append(np.shape(z))
+            return super().vjp(z, u, tape=tape)
+
+    def bracketed(fn):
+        def call(gen, *args, **kwargs):
+            gen.inside += 1
+            try:
+                return fn(gen, *args, **kwargs)
+            finally:
+                gen.inside -= 1
+
+        return call
+
+    for fn in (estimate_geometry, build_instance):
+        monkeypatch.setattr(priorsolve.harness, fn.__name__, bracketed(fn))
+    gen = ShapeLog(random_net(37, sizes=(2, 6), kinds=("elu",), scale=0.8))
+    rhos, seeds, iters = (1.0, 2.0, 4.0), (0, 1), 40
+    plateau_vs_rho(gen, rhos, seeds, iters=iters, geometry_pairs=20)
+    batch = (len(rhos) * len(seeds), gen.input_dim)
+    assert gen.forwards == [batch] * (iters + 1)
+    assert gen.vjps == [batch] * iters

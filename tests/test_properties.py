@@ -1,9 +1,11 @@
 """Properties over generated inputs: tape reuse and shared loss evaluations
-change no bit of the results."""
+change no bit of the results, and a batch of latents is evaluated row by
+row."""
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -40,16 +42,62 @@ def vectors(draw, size):
     return np.array(draw(st.lists(finite, min_size=size, max_size=size)))
 
 
+def arrays(draw, size, rows=None):
+    """A vector of the given size, or a (rows, size) batch of them."""
+    if rows is None:
+        return vectors(draw, size)
+    return np.array([vectors(draw, size) for _ in range(rows)])
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_tape_reuse_is_bit_identical(data):
     gen = data.draw(generators())
-    z = vectors(data.draw, gen.input_dim)
-    u = vectors(data.draw, gen.output_dim)
+    rows = data.draw(st.none() | st.integers(1, 5))
+    z = arrays(data.draw, gen.input_dim, rows)
+    u = arrays(data.draw, gen.output_dim, rows)
     tape = gen.forward(z, return_tape=True)
     np.testing.assert_array_equal(tape.output, gen.forward(z))
     np.testing.assert_array_equal(gen.vjp(z, u, tape=tape), gen.vjp(z, u))
-    np.testing.assert_array_equal(gen.jacobian(z, tape=tape), gen.jacobian(z))
+    if rows is None:
+        np.testing.assert_array_equal(gen.jacobian(z, tape=tape), gen.jacobian(z))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_batched_rows_match_single_latent_calls(data):
+    gen = data.draw(generators())
+    rows = data.draw(st.integers(1, 5))
+    z = arrays(data.draw, gen.input_dim, rows)
+    u = arrays(data.draw, gen.output_dim, rows)
+    out, vjp = gen.forward(z), gen.vjp(z, u)
+    assert out.shape == (rows, gen.output_dim) and vjp.shape == z.shape
+    # matrix-matrix and matrix-vector products round differently; atol covers
+    # entries that cancel to near zero (inputs and weights are O(1))
+    for b in range(rows):
+        np.testing.assert_allclose(out[b], gen.forward(z[b]), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(vjp[b], gen.vjp(z[b], u[b]), rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_batched_shape_errors(data):
+    gen = data.draw(generators())
+    rows = data.draw(st.integers(1, 5))
+    z = arrays(data.draw, gen.input_dim, rows)
+    u = np.zeros((rows, gen.output_dim))
+    with pytest.raises(ValueError, match="input"):
+        gen.forward(np.zeros((rows, gen.input_dim + 1)))
+    with pytest.raises(ValueError, match="input"):
+        gen.forward(z[None])
+    with pytest.raises(ValueError, match="cotangent"):
+        gen.vjp(z, u[:-1] if rows > 1 else u[0])
+    with pytest.raises(ValueError, match="cotangent"):
+        gen.vjp(z, np.zeros((rows + 1, gen.output_dim)))
+    with pytest.raises(ValueError, match="cotangent"):
+        gen.vjp(z[0], u)
+    with pytest.raises(ValueError, match="single latent"):
+        gen.jacobian(z)
 
 
 @st.composite
