@@ -19,8 +19,8 @@ from .admm import (
     UnsupportedLossError,
     admm_step,
     aug_lagrangian,
-    dual_norm_bound,
     dual_step_size,
+    dual_update,
     exact_w_min,
     grad_w_lagrangian,
     grad_z_lagrangian,
@@ -97,8 +97,8 @@ __all__ = [
     "aug_lagrangian",
     "best_lagrangian",
     "build_instance",
-    "dual_norm_bound",
     "dual_step_size",
+    "dual_update",
     "estimate_geometry",
     "exact_w_min",
     "fit_rate",

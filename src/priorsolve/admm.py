@@ -32,6 +32,14 @@ run_multiscale chains stages k = 1..K with rho_k = 2^k rho, step sizes
 alpha_k = 2^-k alpha and beta_k = 2^-k beta, and 2^k n iterations per
 stage, warm starting (w, z, lam, sigma) and the schedule counter t across
 stage boundaries and using the exact w minimizer throughout.
+
+aug_lagrangian, grad_w_lagrangian, grad_z_lagrangian and dual_update state
+these formulas once, on values an iteration already holds and row by row on
+(B, d) stacks; admm_step, the lockstep sweep in harness and
+gd_admm_step_gap all call them.  Closed-form w steps live on the losses
+(w_minimizer).  One run loop, _drive, steps run, each run_multiscale stage
+and gd.run_gd, and owns the clock, the observer, the stop test and the
+partial trace a NonFiniteError carries.
 """
 
 import dataclasses
@@ -41,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .losses import LeastSquares, QuadraticDenoise
+from .losses import UnsupportedLossError
 from .trace import RunTrace, StageInfo, TraceRecord
 
 __all__ = [
@@ -53,8 +61,8 @@ __all__ = [
     "UnsupportedLossError",
     "admm_step",
     "aug_lagrangian",
-    "dual_norm_bound",
     "dual_step_size",
+    "dual_update",
     "exact_w_min",
     "grad_w_lagrangian",
     "grad_z_lagrangian",
@@ -78,10 +86,6 @@ class NonFiniteError(RuntimeError):
         self.quantity = quantity
         self.iteration = iteration
         self.trace = None
-
-
-class UnsupportedLossError(ValueError):
-    """The loss has no implemented closed-form w minimizer."""
 
 
 @dataclass(frozen=True)
@@ -166,14 +170,6 @@ class SplitProblem:
     reg_w: object
     reg_z: object
 
-    def objective(self, w, z):
-        """L(w) + R(w) + H(z); +inf when an indicator penalty is violated."""
-        return (
-            self.loss.value(w)
-            + self.reg_w.evaluate(w)
-            + self.reg_z.evaluate(np.asarray(z, dtype=float))
-        )
-
 
 def initial_state(problem, cfg, z0, w0=None, lam0=None):
     """Fresh state at t = 1 carrying the tape of z0: w defaults to G(z0),
@@ -185,25 +181,22 @@ def initial_state(problem, cfg, z0, w0=None, lam0=None):
     return AdmmState(w=w0, z=z0, lam=lam0, sigma=cfg.sigma0, t=1, tape=tape)
 
 
-def aug_lagrangian(loss, gen, w, z, lam, rho):
-    """AL(w, z, lam) = L(w) + <lam, w - G(z)> + (rho/2)||w - G(z)||^2."""
-    resid = np.asarray(w, dtype=float) - gen.forward(z)
-    return (
-        loss.value(w)
-        + float(np.dot(lam, resid))
-        + 0.5 * rho * float(np.dot(resid, resid))
-    )
+def aug_lagrangian(loss_value, lam, resid, gap, rho):
+    """AL(w, z, lam) = L(w) + <lam, r> + (rho/2) ||r||^2 from the loss value
+    L(w), the residual r = w - G(z) and its norm gap = ||r||.  For (B, d)
+    stacks the inner product runs along rows and gives B values."""
+    return loss_value + np.vecdot(lam, resid) + 0.5 * rho * gap**2
 
 
-def grad_w_lagrangian(loss, gen, w, z, lam, rho):
-    """grad_w AL = grad L(w) + lam + rho (w - G(z))."""
-    return loss.grad(w) + lam + rho * (np.asarray(w, dtype=float) - gen.forward(z))
+def grad_w_lagrangian(loss_grad, lam, resid, rho):
+    """grad_w AL = grad L(w) + lam + rho r, with r = w - G(z)."""
+    return loss_grad + lam + rho * resid
 
 
-def grad_z_lagrangian(gen, w, z, lam, rho):
-    """grad_z AL = -DG(z)^T (lam + rho (w - G(z))); the loss plays no role."""
-    resid = np.asarray(w, dtype=float) - gen.forward(z)
-    return -gen.vjp(z, lam + rho * resid)
+def grad_z_lagrangian(gen, tape, lam, resid, rho):
+    """grad_z AL = -DG(z)^T (lam + rho r), one VJP on the tape of z; the
+    loss plays no role."""
+    return -gen.vjp(tape.z, lam + rho * resid, tape=tape)
 
 
 def dual_step_size(sigma0, feas_gap, t):
@@ -227,39 +220,21 @@ def dual_step_size(sigma0, feas_gap, t):
     return sigma0 / max(1.0, denom)
 
 
-def dual_norm_bound(lam0_norm, sigma0, t):
-    """Schedule-implied cap on ||lam_t||: lam0 plus the truncated summable
-    series of maximal dual increments."""
-    acc = 0.0
-    for i in range(1, t):
-        acc += 1.0 / (i * math.log(i + 1.0) ** 2)
-    return lam0_norm + sigma0 * (1.0 + acc)
+def dual_update(sigma0, lam, resid, gap, t):
+    """(sigma_{t+1}, lam + sigma_{t+1} r) with sigma_{t+1} from
+    dual_step_size.  A (B, 1) column of gaps gives each row its own step."""
+    sigma = dual_step_size(sigma0, gap, t)
+    return sigma, lam + sigma * resid
 
 
 def exact_w_min(loss, gz, lam, rho):
-    """Closed-form argmin_w AL(w, z, lam) given gz = G(z).
-
-    QuadraticDenoise:  (target - lam + rho gz) / (1 + rho).  For a loss with
-    a (B, d) stack of targets, gz and lam are (B, d) and rho may be a (B, 1)
-    column: every row is solved at once with its own rho.
-    LeastSquares:      (A^T A + rho I)^{-1} (A^T b - lam + rho gz), computed
-    through the cached SVD of A; directions outside the row space are simply
-    scaled by 1/rho, so rank-deficient and underdetermined A work unchanged.
-    """
+    """Closed-form argmin_w AL(w, z, lam) given gz = G(z), from the loss's
+    own w_minimizer; rho may be a (B, 1) column for a loss that takes a
+    (B, d) stack.  Raises UnsupportedLossError for a loss without one."""
     if _any(rho <= 0.0):
         raise ValueError("rho must be strictly positive")
-    gz = np.asarray(gz, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    if isinstance(loss, QuadraticDenoise):
-        return (loss.target - lam + rho * gz) / (1.0 + rho)
-    if isinstance(loss, LeastSquares):
-        _, s, vt = loss.svd()
-        rhs = loss.normal_rhs() - lam + rho * gz
-        coeff = vt @ rhs
-        w = vt.T @ (coeff / (s * s + rho))
-        return w + (rhs - vt.T @ coeff) / rho
-    raise UnsupportedLossError(
-        f"no closed-form w minimizer for {type(loss).__name__}"
+    return loss.w_minimizer(
+        np.asarray(gz, dtype=float), np.asarray(lam, dtype=float), rho
     )
 
 
@@ -279,8 +254,9 @@ def _any(mask):
     return mask.any() if isinstance(mask, np.ndarray) else mask
 
 
-def _ensure_finite(arr, name, iteration):
-    if not np.all(np.isfinite(arr)):
+def _ensure_finite(value, name, iteration):
+    scalar = isinstance(value, float)  # math.isfinite skips numpy's ufunc cost
+    if not (math.isfinite(value) if scalar else np.isfinite(value).all()):
         raise NonFiniteError(name, iteration)
 
 
@@ -300,7 +276,7 @@ def admm_step(problem, cfg, state, planted=None):
     The record is evaluated at the new iterate (its Lagrangian uses the new
     dual) except for the stopping metric, which by construction mixes the
     displacement with the previous sigma and feasibility gap.  wall_ns is
-    left at 0; run loops stamp it.
+    left at 0; the run loop (_drive) stamps it.
     """
     _check_exact_mode(problem, cfg)
     loss, gen = problem.loss, problem.gen
@@ -313,7 +289,7 @@ def admm_step(problem, cfg, state, planted=None):
     gap = float(np.linalg.norm(resid))
 
     z_new = problem.reg_z.prox(
-        z + cfg.beta * gen.vjp(z, lam + rho * resid, tape=tape), cfg.beta
+        z - cfg.beta * grad_z_lagrangian(gen, tape, lam, resid, rho), cfg.beta
     )
     _ensure_finite(z_new, "z", state.t)
     tape_new = gen.forward(z_new, return_tape=True)
@@ -323,14 +299,13 @@ def admm_step(problem, cfg, state, planted=None):
         w_new = exact_w_min(loss, gz_new, lam, rho)
     else:
         grad_w = state.w_grad[1] if state.w_grad is not None else loss.grad(w)
-        g = grad_w + lam + rho * (w - gz_new)
+        g = grad_w_lagrangian(grad_w, lam, w - gz_new, rho)
         w_new = problem.reg_w.prox(w - cfg.alpha * g, cfg.alpha)
     _ensure_finite(w_new, "w", state.t)
 
     resid_new = w_new - gz_new
     gap_new = float(np.linalg.norm(resid_new))
-    sigma_new = dual_step_size(cfg.sigma0, gap_new, state.t)
-    lam_new = lam + sigma_new * resid_new
+    sigma_new, lam_new = dual_update(cfg.sigma0, lam, resid_new, gap_new, state.t)
     _ensure_finite(lam_new, "lambda", state.t)
 
     if exact:
@@ -338,11 +313,8 @@ def admm_step(problem, cfg, state, planted=None):
     else:
         loss_new, grad_new = loss.value_and_grad(w_new)
         w_grad_new = (w_new, grad_new)
-    lagrangian = (
-        loss_new + float(np.dot(lam_new, resid_new)) + 0.5 * rho * gap_new**2
-    )
-    if not math.isfinite(lagrangian):
-        raise NonFiniteError("lagrangian", state.t)
+    lagrangian = aug_lagrangian(loss_new, lam_new, resid_new, gap_new, rho)
+    _ensure_finite(lagrangian, "lagrangian", state.t)
 
     dist_w = dist_z = None
     if planted is not None:
@@ -374,27 +346,38 @@ def admm_step(problem, cfg, state, planted=None):
     return new_state, record
 
 
-def run(problem, cfg, state, planted=None, observer=None, clock_start=None):
-    """Iterate until the stopping metric drops to tau_c or max_iters is
-    spent; returns (final_state, trace).  max_iters = 0 returns the initial
-    state with an empty trace.  On divergence the NonFiniteError carries the
-    partial trace.  clock_start (perf_counter_ns origin) is internal, used
-    when stitching multi-scale stages onto one clock."""
-    _check_exact_mode(problem, cfg)
-    trace = RunTrace()
-    t0 = time.perf_counter_ns() if clock_start is None else clock_start
+def _drive(step, state, max_iters, tol, trace, t0, observer=None):
+    """Apply step(state) -> (state, record) up to max_iters times, stamping
+    each record with the wall time since t0 (perf_counter_ns), appending it
+    to trace and passing (state, record) to the observer; stops early once
+    record.stop_metric <= tol.  Returns (state, stopped_early).  A
+    NonFiniteError leaves with the trace collected so far attached."""
     try:
-        for _ in range(cfg.max_iters):
-            state, record = admm_step(problem, cfg, state, planted)
+        for _ in range(max_iters):
+            state, record = step(state)
             record.wall_ns = time.perf_counter_ns() - t0
             trace.append(record)
             if observer is not None:
                 observer(state, record)
-            if record.stop_metric <= cfg.tau_c:
-                break
+            if record.stop_metric <= tol:
+                return state, True
     except NonFiniteError as err:
         err.trace = trace
         raise
+    return state, False
+
+
+def run(problem, cfg, state, planted=None, observer=None):
+    """Iterate until the stopping metric drops to tau_c or max_iters is
+    spent; returns (final_state, trace).  max_iters = 0 returns the initial
+    state with an empty trace.  On divergence the NonFiniteError carries the
+    partial trace."""
+    _check_exact_mode(problem, cfg)
+    trace = RunTrace()
+    state, _ = _drive(
+        lambda s: admm_step(problem, cfg, s, planted),
+        state, cfg.max_iters, cfg.tau_c, trace, time.perf_counter_ns(), observer,
+    )
     return state, trace
 
 
@@ -402,10 +385,10 @@ def run_multiscale(problem, cfg, state, planted=None, observer=None):
     """Chained stages with doubling rho / halving step sizes (see module
     docstring).  The state, including the dual schedule counter, is carried
     across stages; an early stop inside a stage ends the whole run.  Stage
-    parameters and record spans are annotated on trace.stages."""
+    parameters and record spans of the completed stages are annotated on
+    trace.stages; on divergence the partial trace spans every stage run."""
     if cfg.multiscale is None:
         raise ValueError("config has no multiscale schedule")
-    _check_exact_mode(problem, cfg)
     sched = cfg.multiscale
     trace = RunTrace()
     t0 = time.perf_counter_ns()
@@ -419,17 +402,10 @@ def run_multiscale(problem, cfg, state, planted=None, observer=None):
             multiscale=None,
         )
         first_t = state.t
-        try:
-            state, stage_trace = run(
-                problem, stage_cfg, state, planted, observer, clock_start=t0
-            )
-        except NonFiniteError as err:
-            for rec in err.trace:
-                trace.append(rec)
-            err.trace = trace
-            raise
-        for rec in stage_trace:
-            trace.append(rec)
+        state, stopped = _drive(
+            lambda s: admm_step(problem, stage_cfg, s, planted),
+            state, stage_cfg.max_iters, cfg.tau_c, trace, t0, observer,
+        )
         trace.stages.append(
             StageInfo(
                 index=k,
@@ -440,7 +416,7 @@ def run_multiscale(problem, cfg, state, planted=None, observer=None):
                 last_t=state.t - 1,
             )
         )
-        if stage_trace.records and stage_trace.records[-1].stop_metric <= cfg.tau_c:
+        if stopped:
             break
     return state, trace
 

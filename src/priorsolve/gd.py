@@ -19,13 +19,12 @@ gd_admm_discrepancy evaluates that bound and gd_admm_step_gap the actual
 one-step difference.
 """
 
-import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .admm import NonFiniteError, _ensure_finite
+from .admm import NonFiniteError, _drive, _ensure_finite, grad_z_lagrangian
 from .trace import RunTrace, TraceRecord
 
 __all__ = [
@@ -61,59 +60,50 @@ def grad_h(loss, gen, z, tape=None):
     return gen.vjp(z, loss.grad(tape.output), tape=tape)
 
 
-def run_gd(loss, gen, cfg, z0, planted=None, observer=None):
+def run_gd(loss, gen, cfg, z0, planted=None):
     """Descend h from z0; returns (final z, trace).
 
     Stops when ||grad h|| at the new iterate drops to grad_tol or the
     budget is spent.  Divergence raises NonFiniteError with the partial
     trace attached, mirroring the splitting solver.
     """
-    z = np.asarray(z0, dtype=float)
-    trace = RunTrace()
     t0 = time.perf_counter_ns()
-    tape = gen.forward(z, return_tape=True)
-    g = grad_h(loss, gen, z, tape)
-    gz = tape.output
-    try:
-        for t in range(1, cfg.max_iters + 1):
-            z_new = z - cfg.step * g
-            _ensure_finite(z_new, "z", t)
-            tape = gen.forward(z_new, return_tape=True)
-            gz_new = tape.output
-            objective, loss_grad = loss.value_and_grad(gz_new)
-            g_new = gen.vjp(z_new, loss_grad, tape=tape)
-            _ensure_finite(g_new, "gradient", t)
-            if not math.isfinite(objective):
-                raise NonFiniteError("objective", t)
-            grad_norm = float(np.linalg.norm(g_new))
-            dist_w = dist_z = None
-            if planted is not None:
-                w_star, z_star = planted
-                dist_w = float(np.linalg.norm(gz_new - w_star))
-                dist_z = float(np.linalg.norm(z_new - z_star))
-            record = TraceRecord(
-                t=t,
-                objective=objective,
-                lagrangian=objective,
-                feas_gap=0.0,
-                sigma=0.0,
-                step_w=float(np.linalg.norm(gz_new - gz)),
-                step_z=float(np.linalg.norm(z_new - z)),
-                stop_metric=grad_norm,
-                dist_w=dist_w,
-                dist_z=dist_z,
-                wall_ns=time.perf_counter_ns() - t0,
-            )
-            trace.append(record)
-            z, g, gz = z_new, g_new, gz_new
-            if observer is not None:
-                observer(z, record)
-            if grad_norm <= cfg.grad_tol:
-                break
-    except NonFiniteError as err:
-        err.trace = trace
-        raise
-    return z, trace
+    z0 = np.asarray(z0, dtype=float)
+    tape0 = gen.forward(z0, return_tape=True)
+
+    def step(point):
+        t, z, g, gz = point
+        z_new = z - cfg.step * g
+        _ensure_finite(z_new, "z", t)
+        tape = gen.forward(z_new, return_tape=True)
+        gz_new = tape.output
+        objective, loss_grad = loss.value_and_grad(gz_new)
+        g_new = gen.vjp(z_new, loss_grad, tape=tape)
+        _ensure_finite(g_new, "gradient", t)
+        _ensure_finite(objective, "objective", t)
+        dist_w = dist_z = None
+        if planted is not None:
+            w_star, z_star = planted
+            dist_w = float(np.linalg.norm(gz_new - w_star))
+            dist_z = float(np.linalg.norm(z_new - z_star))
+        record = TraceRecord(
+            t=t,
+            objective=objective,
+            lagrangian=objective,
+            feas_gap=0.0,
+            sigma=0.0,
+            step_w=float(np.linalg.norm(gz_new - gz)),
+            step_z=float(np.linalg.norm(z_new - z)),
+            stop_metric=float(np.linalg.norm(g_new)),
+            dist_w=dist_w,
+            dist_z=dist_z,
+        )
+        return (t + 1, z_new, g_new, gz_new), record
+
+    trace = RunTrace()
+    point = (1, z0, grad_h(loss, gen, z0, tape0), tape0.output)
+    point, _ = _drive(step, point, cfg.max_iters, cfg.grad_tol, trace, t0)
+    return point[1], trace
 
 
 def gd_admm_discrepancy(loss, gen, kappa_hat, beta, sigma_t, w, z):
@@ -130,7 +120,7 @@ def gd_admm_step_gap(loss, gen, beta, rho, state):
     one GD step of size beta from state.z."""
     tape = gen.forward(state.z, return_tape=True)
     resid = state.w - tape.output
-    z_admm = state.z + beta * gen.vjp(state.z, state.lam + rho * resid, tape=tape)
+    z_admm = state.z - beta * grad_z_lagrangian(gen, tape, state.lam, resid, rho)
     z_gd = state.z - beta * grad_h(loss, gen, state.z, tape)
     return float(np.linalg.norm(z_admm - z_gd))
 

@@ -38,7 +38,8 @@ import math
 
 import numpy as np
 
-from .admm import SplitProblem, _ensure_finite, dual_step_size, exact_w_min
+from .admm import SplitProblem, _ensure_finite, aug_lagrangian, dual_update
+from .admm import exact_w_min, grad_z_lagrangian
 from .generator import estimate_geometry
 from .losses import LeastSquares, QuadraticDenoise, ScaledQuadratic
 from .prox import Regularizer
@@ -301,23 +302,21 @@ def plateau_vs_rho(
     errs = np.empty_like(gaps)
     for t in range(1, iters + 1):
         # the instances have H = 0, whose prox is the identity
-        z = z + beta_col * gen.vjp(z, lam + rho_col * (w - tape.output), tape=tape)
+        z = z - beta_col * grad_z_lagrangian(gen, tape, lam, w - tape.output, rho_col)
         _ensure_finite(z, "z", t)
         tape = gen.forward(z, return_tape=True)
         gz = tape.output
         w = exact_w_min(loss, gz, lam, rho_col)
         _ensure_finite(w, "w", t)
         resid = w - gz
-        gap = np.linalg.norm(resid, axis=1)
-        lam = lam + dual_step_size(sigma0, gap, t)[:, None] * resid
+        gap = np.linalg.norm(resid, axis=1, keepdims=True)
+        _, lam = dual_update(sigma0, lam, resid, gap, t)
         _ensure_finite(lam, "lambda", t)
-        lagrangian = (
-            loss.value(w) + np.sum(lam * resid, axis=1) + 0.5 * rho * gap**2
-        )
+        lagrangian = aug_lagrangian(loss.value(w), lam, resid, gap[:, 0], rho)
         _ensure_finite(lagrangian, "lagrangian", t)
         row = t - 1 - (iters - tail)
         if row >= 0:
-            gaps[row] = gap
+            gaps[row] = gap[:, 0]
             errs[row] = np.linalg.norm(w - w_star, axis=1)
 
     per_rho = (len(rho_values), len(seeds))

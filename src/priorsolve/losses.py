@@ -11,13 +11,22 @@ A^T A, obtained from a lazily cached SVD of A; when A has a nontrivial
 null space (fewer rows than columns, or numerically rank deficient) mu is
 reported as exactly 0 and strong convexity only holds on the row space,
 so rate diagnostics that rely on mu > 0 should be skipped.
+
+Each loss with a closed-form w step, w_minimizer(gz, lam, rho) =
+argmin_w L(w) + <lam, w - gz> + (rho/2) ||w - gz||^2, documents its own;
+the SmoothLoss default raises UnsupportedLossError.
 """
 
 import numpy as np
 
 from .generator import RANK_TOL
 
-__all__ = ["QuadraticDenoise", "LeastSquares", "ScaledQuadratic"]
+__all__ = ["QuadraticDenoise", "LeastSquares", "ScaledQuadratic",
+           "UnsupportedLossError"]
+
+
+class UnsupportedLossError(ValueError):
+    """The loss has no implemented closed-form w minimizer."""
 
 
 class SmoothLoss:
@@ -50,6 +59,12 @@ class SmoothLoss:
         """(mu, nu): strong convexity and smoothness moduli."""
         raise NotImplementedError
 
+    def w_minimizer(self, gz, lam, rho):
+        """Closed-form w step (see the module docstring)."""
+        raise UnsupportedLossError(
+            f"no closed-form w minimizer for {type(self).__name__}"
+        )
+
 
 class QuadraticDenoise(SmoothLoss):
     """L(w) = 0.5 ||w - target||^2, with mu = nu = 1.
@@ -79,6 +94,12 @@ class QuadraticDenoise(SmoothLoss):
 
     def convexity_constants(self):
         return (1.0, 1.0)
+
+    def w_minimizer(self, gz, lam, rho):
+        """(target - lam + rho gz) / (1 + rho).  With a (B, d) stack of
+        targets, gz and lam are (B, d) and rho may be a (B, 1) column: every
+        row is solved at once with its own rho."""
+        return (self.target - lam + rho * gz) / (1.0 + rho)
 
 
 class ScaledQuadratic(SmoothLoss):
@@ -152,6 +173,16 @@ class LeastSquares(SmoothLoss):
         w = self._check(w)
         r = self.matrix @ w - self.rhs
         return 0.5 * float(np.sum(r * r)), self.matrix.T @ r
+
+    def w_minimizer(self, gz, lam, rho):
+        """(A^T A + rho I)^{-1} (A^T b - lam + rho gz) through the cached SVD
+        of A; directions outside the row space are simply scaled by 1/rho,
+        so rank-deficient and underdetermined A work unchanged."""
+        _, s, vt = self.svd()
+        rhs = self.normal_rhs() - lam + rho * gz
+        coeff = vt @ rhs
+        w = vt.T @ (coeff / (s * s + rho))
+        return w + (rhs - vt.T @ coeff) / rho
 
     @property
     def strongly_convex(self):

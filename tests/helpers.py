@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 
+from priorsolve.admm import aug_lagrangian, grad_w_lagrangian, grad_z_lagrangian
 from priorsolve.generator import Activation, FeedforwardGenerator, Layer
 
 
@@ -24,4 +25,21 @@ def linear_generator(w, radius=2.0):
     return FeedforwardGenerator(
         [Layer(w, np.zeros(w.shape[0]), Activation("identity"))],
         domain_radius=radius,
+    )
+
+
+def lagrangian_at(loss, gen, w, z, lam, rho):
+    """AL(w, z, lam) at the point (w, z), through the library formula."""
+    resid = np.asarray(w, dtype=float) - gen.forward(z)
+    return aug_lagrangian(loss.value(w), lam, resid, np.linalg.norm(resid), rho)
+
+
+def lagrangian_grads(loss, gen, w, z, lam, rho):
+    """(grad_w AL, grad_z AL) at the point (w, z), through the library
+    formulas."""
+    tape = gen.forward(z, return_tape=True)
+    resid = np.asarray(w, dtype=float) - tape.output
+    return (
+        grad_w_lagrangian(loss.grad(w), lam, resid, rho),
+        grad_z_lagrangian(gen, tape, lam, resid, rho),
     )

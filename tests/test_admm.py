@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import linear_generator, random_net
+from helpers import lagrangian_at, lagrangian_grads, linear_generator, random_net
 from oracles import dual_norm_cap, fd_grad, prox_subgradient_residual, uniform_ball_point
 from priorsolve.admm import (
     AdmmConfig,
@@ -16,10 +16,8 @@ from priorsolve.admm import (
     UnsupportedLossError,
     admm_step,
     aug_lagrangian,
-    dual_norm_bound,
     dual_step_size,
     exact_w_min,
-    grad_w_lagrangian,
     grad_z_lagrangian,
     initial_state,
     run,
@@ -101,7 +99,7 @@ def test_aug_lagrangian_hand_value():
     rho = 2.0
     resid = w - z
     want = 0.5 * 5.0 + float(lam @ resid) + 0.5 * rho * float(resid @ resid)
-    got = aug_lagrangian(loss, gen, w, z, lam, rho)
+    got = aug_lagrangian(loss.value(w), lam, resid, np.linalg.norm(resid), rho)
     assert abs(got - want) < 1e-14
 
 
@@ -115,12 +113,11 @@ def test_lagrangian_gradients_match_finite_differences():
         lam = rng.standard_normal(8)
         rho = float(rng.uniform(0.1, 3.0))
 
-        gw = grad_w_lagrangian(loss, gen, w, z, lam, rho)
-        want_w = fd_grad(lambda v: aug_lagrangian(loss, gen, v, z, lam, rho), w)
+        gw, gz = lagrangian_grads(loss, gen, w, z, lam, rho)
+        want_w = fd_grad(lambda v: lagrangian_at(loss, gen, v, z, lam, rho), w)
         assert np.abs(gw - want_w).max() < 1e-6 * (1.0 + np.abs(want_w).max())
 
-        gz = grad_z_lagrangian(gen, w, z, lam, rho)
-        want_z = fd_grad(lambda v: aug_lagrangian(loss, gen, w, v, lam, rho), z)
+        want_z = fd_grad(lambda v: lagrangian_at(loss, gen, w, v, lam, rho), z)
         assert np.abs(gz - want_z).max() < 1e-6 * (1.0 + np.abs(want_z).max())
 
 
@@ -154,13 +151,6 @@ def test_dual_increment_is_summable():
         s = dual_step_size(sigma0, gap, t)
         cap = sigma0 / (t * math.log(t + 1) ** 2)
         assert s * gap <= cap * (1.0 + 1e-12)
-
-
-def test_dual_norm_bound_matches_oracle():
-    for t in (1, 2, 10, 357):
-        want = dual_norm_cap(0.4, 1.3, t)
-        got = dual_norm_bound(0.4, 1.3, t)
-        assert abs(want - got) < 1e-12 * want
 
 
 def test_exact_w_min_quadratic_resolvent():
@@ -313,8 +303,9 @@ def test_admm_step_prox_certificates():
     cfg = base_config()
     state = initial_state(problem, cfg, z0=rng.standard_normal(2) * 0.4)
     for _ in range(5):
+        tape = gen.forward(state.z, return_tape=True)
         vz = state.z - cfg.beta * grad_z_lagrangian(
-            gen, state.w, state.z, state.lam, cfg.rho
+            gen, tape, state.lam, state.w - tape.output, cfg.rho
         )
         new, _ = admm_step(problem, cfg, state)
         assert prox_subgradient_residual(problem.reg_z, cfg.beta, vz, new.z) <= 1e-8
@@ -427,6 +418,7 @@ def test_divergence_raises_named_nonfinite():
     assert err.quantity in ("w", "z", "lambda", "lagrangian")
     assert err.iteration >= 1
     assert err.trace is not None
+    assert err.trace.column("t") == list(range(1, err.iteration))
 
 
 def test_exact_mode_rejects_nonzero_w_regularizer():
@@ -514,6 +506,44 @@ def test_multiscale_equals_manually_stitched_stages():
     assert trace.stages[0].alpha == 0.15 and trace.stages[1].alpha == 0.075
     assert trace.stages[0].first_t == 1 and trace.stages[0].last_t == 10
     assert trace.stages[1].first_t == 11 and trace.stages[1].last_t == 30
+
+
+class OverflowingLoss(QuadraticDenoise):
+    """Denoising loss whose value overflows from evaluation number after + 1
+    on."""
+
+    def __init__(self, target, after):
+        super().__init__(target)
+        self.after = after
+        self.calls = 0
+
+    def value(self, w):
+        self.calls += 1
+        return np.inf if self.calls > self.after else super().value(w)
+
+
+def test_multiscale_divergence_keeps_every_stage_in_one_trace():
+    # the exact w-step evaluates the loss once per iteration, so the 14th
+    # iteration, the 4th of stage 2, is the first non-finite one
+    gen = random_net(26, kinds=("elu", "tanh"))
+    problem = SplitProblem(
+        loss=OverflowingLoss(gen.forward(np.array([0.2, -0.1])), after=13),
+        gen=gen,
+        reg_w=Regularizer.zero(),
+        reg_z=Regularizer.zero(),
+    )
+    cfg = base_config(
+        tau_c=1e-30, max_iters=999, w_step="exact",
+        multiscale=MultiscaleSchedule(stages=3, base_iters=5),
+    )
+    state = initial_state(problem, cfg, z0=np.array([0.5, 0.3]))
+    with pytest.raises(NonFiniteError) as info:
+        run_multiscale(problem, cfg, state)
+    err = info.value
+    assert (err.quantity, err.iteration) == ("lagrangian", 14)
+    assert err.trace.column("t") == list(range(1, 14))
+    assert [s.index for s in err.trace.stages] == [1]
+    assert (err.trace.stages[0].first_t, err.trace.stages[0].last_t) == (1, 10)
 
 
 def test_multiscale_requires_schedule():

@@ -127,6 +127,7 @@ def test_run_gd_divergence_raises():
         run_gd(loss, gen, cfg, z0=np.array([0.4, 0.4, 0.1]))
     assert info.value.quantity in ("z", "gradient", "objective")
     assert info.value.trace is not None
+    assert info.value.trace.column("t") == list(range(1, info.value.iteration))
 
 
 def test_gd_config_validation():

@@ -1,6 +1,6 @@
 """Properties over generated inputs: tape reuse and shared loss evaluations
-change no bit of the results, and a batch of latents is evaluated row by
-row."""
+change no bit of the results, and a batch of latents, like a (B, d) stack of
+iterates in the Lagrangian formulas, is evaluated row by row."""
 
 import math
 
@@ -9,6 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from priorsolve.admm import (
+    aug_lagrangian,
+    dual_update,
+    grad_w_lagrangian,
+    grad_z_lagrangian,
+)
 from priorsolve.generator import (
     ACTIVATION_KINDS,
     Activation,
@@ -77,6 +83,52 @@ def test_batched_rows_match_single_latent_calls(data):
     for b in range(rows):
         np.testing.assert_allclose(out[b], gen.forward(z[b]), rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(vjp[b], gen.vjp(z[b], u[b]), rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_batched_lagrangian_formulas_match_single_rows(data):
+    # the lockstep sweep and admm_step share these helpers; rho and the gap
+    # are per-row columns in the batch and scalars for a single row
+    gen = data.draw(generators())
+    rows = data.draw(st.integers(1, 5))
+    z = arrays(data.draw, gen.input_dim, rows)
+    w = arrays(data.draw, gen.output_dim, rows)
+    lam = arrays(data.draw, gen.output_dim, rows)
+    loss_grad = arrays(data.draw, gen.output_dim, rows)
+    loss_value = arrays(data.draw, rows)
+    rho = np.array(data.draw(st.lists(
+        st.floats(1e-3, 100.0), min_size=rows, max_size=rows
+    )))[:, None]
+    sigma0 = data.draw(st.floats(1e-3, 10.0))
+    t = data.draw(st.integers(1, 10_000))
+
+    tape = gen.forward(z, return_tape=True)
+    resid = w - tape.output
+    gap = np.linalg.norm(resid, axis=1, keepdims=True)
+    grad_z = grad_z_lagrangian(gen, tape, lam, resid, rho)
+    grad_w = grad_w_lagrangian(loss_grad, lam, resid, rho)
+    value = aug_lagrangian(loss_value, lam, resid, gap[:, 0], rho[:, 0])
+    sigma, lam_new = dual_update(sigma0, lam, resid, gap, t)
+    assert value.shape == (rows,) and sigma.shape == (rows, 1)
+    close = dict(rtol=1e-12, atol=1e-12)
+    for b in range(rows):
+        rho_b, gap_b = float(rho[b, 0]), float(gap[b, 0])
+        tape_b = gen.forward(z[b], return_tape=True)
+        np.testing.assert_allclose(
+            grad_z[b], grad_z_lagrangian(gen, tape_b, lam[b], resid[b], rho_b), **close
+        )
+        np.testing.assert_allclose(
+            grad_w[b], grad_w_lagrangian(loss_grad[b], lam[b], resid[b], rho_b), **close
+        )
+        np.testing.assert_allclose(
+            value[b],
+            aug_lagrangian(loss_value[b], lam[b], resid[b], gap_b, rho_b),
+            **close,
+        )
+        sigma_b, lam_b = dual_update(sigma0, lam[b], resid[b], gap_b, t)
+        np.testing.assert_allclose(sigma[b, 0], sigma_b, **close)
+        np.testing.assert_allclose(lam_new[b], lam_b, **close)
 
 
 @settings(max_examples=30, deadline=None)
