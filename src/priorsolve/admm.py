@@ -49,6 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .generator import _norm
 from .losses import UnsupportedLossError
 from .trace import RunTrace, StageInfo, TraceRecord
 
@@ -286,7 +287,7 @@ def admm_step(problem, cfg, state, planted=None):
 
     tape = state.tape if state.tape is not None else gen.forward(z, return_tape=True)
     resid = w - tape.output
-    gap = float(np.linalg.norm(resid))
+    gap = _norm(resid)
 
     z_new = problem.reg_z.prox(
         z - cfg.beta * grad_z_lagrangian(gen, tape, lam, resid, rho), cfg.beta
@@ -304,7 +305,7 @@ def admm_step(problem, cfg, state, planted=None):
     _ensure_finite(w_new, "w", state.t)
 
     resid_new = w_new - gz_new
-    gap_new = float(np.linalg.norm(resid_new))
+    gap_new = _norm(resid_new)
     sigma_new, lam_new = dual_update(cfg.sigma0, lam, resid_new, gap_new, state.t)
     _ensure_finite(lam_new, "lambda", state.t)
 
@@ -319,9 +320,10 @@ def admm_step(problem, cfg, state, planted=None):
     dist_w = dist_z = None
     if planted is not None:
         w_star, z_star = planted
-        dist_w = float(np.linalg.norm(w_new - w_star))
-        dist_z = float(np.linalg.norm(z_new - z_star))
+        dist_w = _norm(w_new - w_star)
+        dist_z = _norm(z_new - z_star)
 
+    dz, dw = z_new - z, w_new - w
     record = TraceRecord(
         t=state.t,
         objective=loss_new
@@ -330,10 +332,10 @@ def admm_step(problem, cfg, state, planted=None):
         lagrangian=lagrangian,
         feas_gap=gap_new,
         sigma=sigma_new,
-        step_w=float(np.linalg.norm(w_new - w)),
-        step_z=float(np.linalg.norm(z_new - z)),
+        step_w=_norm(dw),
+        step_z=_norm(dz),
         stop_metric=stopping_metric(
-            dz=z_new - z, dw=w_new - w, alpha=cfg.alpha, beta=cfg.beta,
+            dz=dz, dw=dw, alpha=cfg.alpha, beta=cfg.beta,
             sigma_prev=state.sigma, gap_prev=gap,
         ),
         dist_w=dist_w,

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .admm import NonFiniteError, _drive, _ensure_finite, grad_z_lagrangian
+from .generator import _norm
 from .trace import RunTrace, TraceRecord
 
 __all__ = [
@@ -84,17 +85,17 @@ def run_gd(loss, gen, cfg, z0, planted=None):
         dist_w = dist_z = None
         if planted is not None:
             w_star, z_star = planted
-            dist_w = float(np.linalg.norm(gz_new - w_star))
-            dist_z = float(np.linalg.norm(z_new - z_star))
+            dist_w = _norm(gz_new - w_star)
+            dist_z = _norm(z_new - z_star)
         record = TraceRecord(
             t=t,
             objective=objective,
             lagrangian=objective,
             feas_gap=0.0,
             sigma=0.0,
-            step_w=float(np.linalg.norm(gz_new - gz)),
-            step_z=float(np.linalg.norm(z_new - z)),
-            stop_metric=float(np.linalg.norm(g_new)),
+            step_w=_norm(gz_new - gz),
+            step_z=_norm(z_new - z),
+            stop_metric=_norm(g_new),
             dist_w=dist_w,
             dist_z=dist_z,
         )
@@ -111,7 +112,7 @@ def gd_admm_discrepancy(loss, gen, kappa_hat, beta, sigma_t, w, z):
     difference between the ADMM z-update and a GD step (see module
     docstring for when it applies)."""
     nu = loss.convexity_constants()[1]
-    gap = float(np.linalg.norm(np.asarray(w, dtype=float) - gen.forward(z)))
+    gap = _norm(np.asarray(w, dtype=float) - gen.forward(z))
     return beta * (sigma_t * kappa_hat + nu) * gap
 
 
@@ -122,7 +123,7 @@ def gd_admm_step_gap(loss, gen, beta, rho, state):
     resid = state.w - tape.output
     z_admm = state.z - beta * grad_z_lagrangian(gen, tape, state.lam, resid, rho)
     z_gd = state.z - beta * grad_h(loss, gen, state.z, tape)
-    return float(np.linalg.norm(z_admm - z_gd))
+    return _norm(z_admm - z_gd)
 
 
 def tune_gd_step(loss, gen, z0s, steps, budget):

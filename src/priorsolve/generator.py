@@ -4,13 +4,16 @@ A generator G maps a low-dimensional latent vector z (inside a Euclidean
 ball) to an output vector of higher dimension through a stack of affine
 layers with elementwise activations.  Besides evaluation, this module
 provides the dense Jacobian, vector-Jacobian products for reverse-mode
-gradients, sampled estimates of the near-isometry constants
+gradients, Jacobian-vector products for forward-mode directional
+derivatives, sampled estimates of the near-isometry constants
 
     iota * ||z' - z|| <= ||G(z') - G(z)|| <= kappa * ||z' - z||
 
 and of the strong-smoothness constant nu bounding the linearization
 remainder ||G(z') - G(z) - DG(z)(z' - z)|| <= (nu / 2) * ||z' - z||^2,
-plus seeded weight perturbation and a JSON description format.
+plus seeded weight perturbation and a JSON description format.  A
+geometry estimate draws its pairs one at a time but evaluates them together:
+one batched forward pass over every sampled point and one batched JVP.
 """
 
 import json
@@ -133,14 +136,15 @@ class FeedforwardGenerator:
     """Stack of affine-plus-activation layers with non-decreasing widths.
 
     One forward pass costs one matvec per layer.  forward(z, return_tape=True)
-    returns the pass as a Tape; handing that tape to vjp or jacobian at the
-    same z skips their own forward pass, so a solver that keeps the tape of
-    its current point pays one forward and one backward pass per gradient.
+    returns the pass as a Tape; handing that tape to vjp, jvp or jacobian at
+    the same z skips their own forward pass, so a solver that keeps the tape
+    of its current point pays one forward and one backward pass per gradient.
 
-    forward and vjp also take a batch: z of shape (B, input_dim) and a
-    cotangent of shape (B, output_dim) give one row per latent, through the
-    same code (every layer acts on the last axis, so a batch pass costs one
-    matrix product per layer).  jacobian takes a single latent only.
+    forward, vjp and jvp also take a batch: z of shape (B, input_dim) with a
+    cotangent of shape (B, output_dim) or a tangent of shape (B, input_dim)
+    gives one row per latent, through the same code (every layer acts on the
+    last axis, so a batch pass costs one matrix product per layer).
+    jacobian takes a single latent only.
 
     Parameters
     ----------
@@ -251,6 +255,19 @@ class FeedforwardGenerator:
             v = (layer.activation.derivative(a) * v) @ layer.weight
         return v
 
+    def jvp(self, z, v, tape=None):
+        """Jacobian-vector product DG(z) v in one forward-mode pass over the
+        recorded pre-activations, preceded by a forward pass unless the tape
+        of z is given.  For a batch of latents, v holds one tangent per
+        row."""
+        tape = self._tape_at(z, tape)
+        v = np.asarray(v, dtype=float)
+        if v.shape != tape.z.shape:
+            raise ValueError(f"expected tangent of shape {tape.z.shape}")
+        for layer, a in zip(self.layers, tape.preacts):
+            v = layer.activation.derivative(a) * (v @ layer.weight.T)
+        return v
+
 
 @dataclass(frozen=True)
 class GeometryEstimate:
@@ -271,12 +288,18 @@ class GeometryEstimate:
     domain_radius: float
 
 
+def _norm(v):
+    """Euclidean norm of a 1-D vector.  np.linalg.norm computes the same
+    sqrt(v . v) on a 1-D vector but spends microseconds dispatching first."""
+    return math.sqrt(v.dot(v))
+
+
 def _ball_point(rng, dim, radius):
     g = rng.standard_normal(dim)
-    norm = np.linalg.norm(g)
+    norm = _norm(g)
     while norm < 1e-30:
         g = rng.standard_normal(dim)
-        norm = np.linalg.norm(g)
+        norm = _norm(g)
     return radius * (rng.uniform() ** (1.0 / dim)) * (g / norm)
 
 
@@ -286,36 +309,47 @@ def estimate_geometry(gen, n_pairs, seed):
     Pairs are drawn sequentially from one generator stream, so estimates
     with a larger n_pairs and the same seed extend the smaller sample and
     are monotone in it.  Degenerate pairs (distance below 1e-12) are
-    redrawn.  Each pair costs two forward passes; the Jacobian at z1 reuses
-    the tape of the first.
+    redrawn.  All 2 n_pairs points are then evaluated by one batched
+    forward pass, and the linearizations DG(z1)(z2 - z1) by one batched JVP
+    on the z1 rows of its tape; no Jacobian is formed.
     """
     if n_pairs < 1:
         raise ValueError("n_pairs must be at least 1")
     rng = np.random.default_rng(seed)
     dim = gen.input_dim
     radius = gen.domain_radius
-    iota = np.inf
-    kappa = 0.0
-    nu = 0.0
-    for _ in range(n_pairs):
+    # rows [0, n) hold z1 and rows [n, 2n) hold z2 of the same pair
+    points = np.empty((2 * n_pairs, dim))
+    dists = np.empty(n_pairs)
+    for i in range(n_pairs):
         while True:
             z1 = _ball_point(rng, dim, radius)
             z2 = _ball_point(rng, dim, radius)
-            dist = float(np.linalg.norm(z2 - z1))
+            dist = _norm(z2 - z1)
             if dist >= DEGENERATE_PAIR_TOL:
                 break
-        tape1 = gen.forward(z1, return_tape=True)
-        g1 = tape1.output
-        g2 = gen.forward(z2)
-        ratio = float(np.linalg.norm(g2 - g1)) / dist
-        iota = min(iota, ratio)
-        kappa = max(kappa, ratio)
-        rem = g2 - g1 - gen.jacobian(z1, tape=tape1) @ (z2 - z1)
-        nu = max(nu, 2.0 * float(np.linalg.norm(rem)) / dist**2)
+        points[i], points[n_pairs + i], dists[i] = z1, z2, dist
+    tape = gen.forward(points, return_tape=True)
+    out = tape.output
+    dg = out[n_pairs:] - out[:n_pairs]
+    ratios = np.sqrt(np.vecdot(dg, dg)) / dists
+    # BLAS rounds a one-row product (gemv) differently from the rows of a
+    # larger one, and rows of larger ones do not depend on the row count, so
+    # the JVP runs on at least two rows (z1 and z2 of the pair at n_pairs =
+    # 1, the second with a zero tangent) to keep every pair's value the same
+    # for every n_pairs
+    rows = max(n_pairs, 2)
+    head = Tape(
+        points[:rows], out[:rows], tuple(a[:rows] for a in tape.preacts), tape.layers
+    )
+    steps = np.zeros((rows, dim))
+    steps[:n_pairs] = points[n_pairs:] - points[:n_pairs]
+    rem = dg - gen.jvp(head.z, steps, tape=head)[:n_pairs]
+    curvatures = 2.0 * np.sqrt(np.vecdot(rem, rem)) / dists**2
     return GeometryEstimate(
-        iota_hat=iota,
-        kappa_hat=kappa,
-        nu_g_hat=nu,
+        iota_hat=float(ratios.min()),
+        kappa_hat=float(ratios.max()),
+        nu_g_hat=float(curvatures.max()),
         n_pairs=n_pairs,
         seed=seed,
         domain_radius=radius,

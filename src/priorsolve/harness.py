@@ -39,7 +39,7 @@ import math
 import numpy as np
 
 from .admm import SplitProblem, _ensure_finite, aug_lagrangian, dual_update
-from .admm import exact_w_min, grad_z_lagrangian
+from .admm import grad_z_lagrangian
 from .generator import estimate_geometry
 from .losses import LeastSquares, QuadraticDenoise, ScaledQuadratic
 from .prox import Regularizer
@@ -306,7 +306,8 @@ def plateau_vs_rho(
         _ensure_finite(z, "z", t)
         tape = gen.forward(z, return_tape=True)
         gz = tape.output
-        w = exact_w_min(loss, gz, lam, rho_col)
+        # rho was checked once above; exact_w_min would re-check it per step
+        w = loss.w_minimizer(gz, lam, rho_col)
         _ensure_finite(w, "w", t)
         resid = w - gz
         gap = np.linalg.norm(resid, axis=1, keepdims=True)

@@ -3,13 +3,17 @@
 Everything here is deliberately plain: central differences, dense linear
 algebra, and a general-purpose constrained solver.  None of it shares code
 with the library, so agreement between the two routes is evidence rather
-than tautology.
+than tautology.  The exception is serial_geometry, the per-pair form of the
+geometry estimate, which evaluates the library's generator through its dense
+Jacobian to check the batched estimate.
 """
 
 import math
 
 import numpy as np
 from scipy.optimize import minimize
+
+from priorsolve.generator import DEGENERATE_PAIR_TOL, GeometryEstimate
 
 
 def fd_jacobian(f, x, h=1e-6):
@@ -141,3 +145,58 @@ def uniform_ball_point(rng, dim, radius):
     g = rng.standard_normal(dim)
     g /= np.linalg.norm(g)
     return radius * rng.uniform() ** (1.0 / dim) * g
+
+
+def _ball_point(rng, dim, radius):
+    # the library's draw, kept here so the oracle consumes the same stream
+    g = rng.standard_normal(dim)
+    norm = np.linalg.norm(g)
+    while norm < 1e-30:
+        g = rng.standard_normal(dim)
+        norm = np.linalg.norm(g)
+    return radius * (rng.uniform() ** (1.0 / dim)) * (g / norm)
+
+
+def geometry_pairs(gen, n_pairs, seed):
+    """The (z1, z2, ||z2 - z1||) triples estimate_geometry draws, in order."""
+    rng = np.random.default_rng(seed)
+    dim = gen.input_dim
+    radius = gen.domain_radius
+    pairs = []
+    for _ in range(n_pairs):
+        while True:
+            z1 = _ball_point(rng, dim, radius)
+            z2 = _ball_point(rng, dim, radius)
+            dist = float(np.linalg.norm(z2 - z1))
+            if dist >= DEGENERATE_PAIR_TOL:
+                break
+        pairs.append((z1, z2, dist))
+    return pairs
+
+
+def serial_geometry(gen, n_pairs, seed):
+    """estimate_geometry one pair at a time: two single-latent forward
+    passes and a dense Jacobian per pair, on the library's random stream."""
+    if n_pairs < 1:
+        raise ValueError("n_pairs must be at least 1")
+    radius = gen.domain_radius
+    iota = np.inf
+    kappa = 0.0
+    nu = 0.0
+    for z1, z2, dist in geometry_pairs(gen, n_pairs, seed):
+        tape1 = gen.forward(z1, return_tape=True)
+        g1 = tape1.output
+        g2 = gen.forward(z2)
+        ratio = float(np.linalg.norm(g2 - g1)) / dist
+        iota = min(iota, ratio)
+        kappa = max(kappa, ratio)
+        rem = g2 - g1 - gen.jacobian(z1, tape=tape1) @ (z2 - z1)
+        nu = max(nu, 2.0 * float(np.linalg.norm(rem)) / dist**2)
+    return GeometryEstimate(
+        iota_hat=iota,
+        kappa_hat=kappa,
+        nu_g_hat=nu,
+        n_pairs=n_pairs,
+        seed=seed,
+        domain_radius=radius,
+    )

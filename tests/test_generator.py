@@ -128,6 +128,14 @@ def test_tape_is_checked_against_point_and_generator():
         other.vjp(z, u, tape=tape)
     with pytest.raises(ValueError, match="cotangent"):
         gen.vjp(z, np.ones(3), tape=tape)
+    v = np.array([1.0, 2.0])
+    np.testing.assert_array_equal(gen.jvp(z.copy(), v, tape=tape), gen.jvp(z, v))
+    with pytest.raises(ValueError, match="different latent point"):
+        gen.jvp(z + 1e-9, v, tape=tape)
+    with pytest.raises(ValueError, match="different generator"):
+        other.jvp(z, v, tape=tape)
+    with pytest.raises(ValueError, match="tangent"):
+        gen.jvp(z, u, tape=tape)
 
 
 def test_constructor_rejects_bad_shapes():

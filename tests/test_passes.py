@@ -28,16 +28,19 @@ REFERENCE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "referen
 
 
 class CountingGenerator(FeedforwardGenerator):
-    """A real generator that counts forward traces (including those vjp and
-    jacobian would run internally) and backward passes."""
+    """A real generator that counts forward traces (including those vjp,
+    jvp and jacobian would run internally), logging the latent shape of
+    each, and backward passes."""
 
     def __init__(self, inner):
         super().__init__(inner.layers, inner.domain_radius)
         self.traces = 0
         self.vjps = 0
+        self.traced_shapes = []
 
     def _forward_trace(self, z):
         self.traces += 1
+        self.traced_shapes.append(np.shape(z))
         return super()._forward_trace(z)
 
     def vjp(self, z, u, tape=None):
@@ -46,6 +49,7 @@ class CountingGenerator(FeedforwardGenerator):
 
     def reset(self):
         self.traces = self.vjps = 0
+        self.traced_shapes = []
 
 
 def cs_problem(gen, seed=0):
@@ -104,11 +108,13 @@ def test_run_gd_runs_one_forward_and_one_vjp_per_iteration():
     assert (gen.traces, gen.vjps) == (iters + 1, iters + 1)
 
 
-def test_estimate_geometry_runs_two_forward_traces_per_pair():
+@pytest.mark.parametrize("n_pairs", [1, 25])
+def test_estimate_geometry_runs_one_forward_trace_of_all_pairs(n_pairs):
     gen = CountingGenerator(random_net(34, kinds=("elu", "tanh")))
     gen.reset()
-    estimate_geometry(gen, 25, seed=3)
-    assert (gen.traces, gen.vjps) == (50, 0)
+    estimate_geometry(gen, n_pairs, seed=3)
+    assert gen.traced_shapes == [(2 * n_pairs, gen.input_dim)]
+    assert gen.vjps == 0
 
 
 def test_compare_estimates_geometry_once(tmp_path, monkeypatch):

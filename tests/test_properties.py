@@ -1,6 +1,8 @@
 """Properties over generated inputs: tape reuse and shared loss evaluations
-change no bit of the results, and a batch of latents, like a (B, d) stack of
-iterates in the Lagrangian formulas, is evaluated row by row."""
+change no bit of the results, a batch of latents, like a (B, d) stack of
+iterates in the Lagrangian formulas, is evaluated row by row, and the batched
+geometry estimate agrees with its per-pair form and extends its own smaller
+samples."""
 
 import math
 
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import geometry_pairs, serial_geometry
 from priorsolve.admm import (
     aug_lagrangian,
     dual_update,
@@ -20,10 +23,12 @@ from priorsolve.generator import (
     Activation,
     FeedforwardGenerator,
     Layer,
+    estimate_geometry,
 )
 from priorsolve.losses import LeastSquares, QuadraticDenoise, ScaledQuadratic
 
 finite = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+EPS = np.finfo(float).eps
 
 
 @st.composite
@@ -65,6 +70,7 @@ def test_tape_reuse_is_bit_identical(data):
     tape = gen.forward(z, return_tape=True)
     np.testing.assert_array_equal(tape.output, gen.forward(z))
     np.testing.assert_array_equal(gen.vjp(z, u, tape=tape), gen.vjp(z, u))
+    np.testing.assert_array_equal(gen.jvp(z, z, tape=tape), gen.jvp(z, z))
     if rows is None:
         np.testing.assert_array_equal(gen.jacobian(z, tape=tape), gen.jacobian(z))
 
@@ -83,6 +89,25 @@ def test_batched_rows_match_single_latent_calls(data):
     for b in range(rows):
         np.testing.assert_allclose(out[b], gen.forward(z[b]), rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(vjp[b], gen.vjp(z[b], u[b]), rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_jvp_matches_dense_jacobian(data):
+    gen = data.draw(generators())
+    rows = data.draw(st.none() | st.integers(1, 5))
+    z = arrays(data.draw, gen.input_dim, rows)
+    v = arrays(data.draw, gen.input_dim, rows)
+    tape = gen.forward(z, return_tape=True)
+    got, taped = gen.jvp(z, v), gen.jvp(z, v, tape=tape)
+    assert got.shape == tape.output.shape
+    pairs = [(z, v, got, taped)] if rows is None else zip(z, v, got, taped)
+    # the forward-mode pass and the dense product sum in different orders;
+    # atol covers entries that cancel to near zero
+    for zb, vb, got_b, taped_b in pairs:
+        want = gen.jacobian(zb) @ vb
+        np.testing.assert_allclose(got_b, want, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(taped_b, want, rtol=1e-12, atol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -150,6 +175,62 @@ def test_batched_shape_errors(data):
         gen.vjp(z[0], u)
     with pytest.raises(ValueError, match="single latent"):
         gen.jacobian(z)
+    with pytest.raises(ValueError, match="tangent"):
+        gen.jvp(z, z[:-1] if rows > 1 else z[0])
+    with pytest.raises(ValueError, match="tangent"):
+        gen.jvp(z, np.zeros((rows, gen.input_dim + 1)))
+    with pytest.raises(ValueError, match="tangent"):
+        gen.jvp(z[0], z)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_geometry_matches_serial_oracle(data):
+    gen = data.draw(generators())
+    n_pairs = data.draw(st.integers(1, 60))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    est = estimate_geometry(gen, n_pairs, seed)
+    want = serial_geometry(gen, n_pairs, seed)
+    assert (est.n_pairs, est.seed, est.domain_radius) == (
+        want.n_pairs, want.seed, want.domain_radius
+    )
+    # batched and single-latent products round G differently, by about
+    # eps ||G||; the ratios divide that by ||z2 - z1|| and the curvature by
+    # its square, so it dominates for close pairs and for affine pieces,
+    # whose true remainder is 0.  Measured differences stay below 2.5 times
+    # the per-pair rounding (eps ||G(z1)|| + eps ||G(z2)||) / ||z2 - z1||
+    # (over ||z2 - z1|| once more for nu); the floors allow 16 times.
+    pairs = geometry_pairs(gen, n_pairs, seed)
+    rounding = [
+        16 * EPS * (np.linalg.norm(gen.forward(z1)) + np.linalg.norm(gen.forward(z2)))
+        / dist
+        for z1, z2, dist in pairs
+    ]
+    floors = {
+        "iota_hat": max(rounding),
+        "kappa_hat": max(rounding),
+        "nu_g_hat": max(2.0 * r / dist for r, (_, _, dist) in zip(rounding, pairs)),
+    }
+    for name, floor in floors.items():
+        np.testing.assert_allclose(
+            getattr(est, name), getattr(want, name), rtol=1e-12, atol=floor,
+            err_msg=name,
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_geometry_extends_its_smaller_samples(data):
+    # every pair keeps its value whatever n_pairs is, so the sample extremes
+    # move monotonically and exactly, from one pair on
+    gen = data.draw(generators())
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    ns = sorted({1, 2} | set(data.draw(st.lists(st.integers(3, 60), max_size=3))))
+    ests = [estimate_geometry(gen, n, seed) for n in ns]
+    for small, big in zip(ests, ests[1:]):
+        assert big.iota_hat <= small.iota_hat
+        assert big.kappa_hat >= small.kappa_hat
+        assert big.nu_g_hat >= small.nu_g_hat
 
 
 @st.composite
