@@ -35,11 +35,17 @@ stage boundaries and using the exact w minimizer throughout.
 
 aug_lagrangian, grad_w_lagrangian, grad_z_lagrangian and dual_update state
 these formulas once, on values an iteration already holds and row by row on
-(B, d) stacks; admm_step, the lockstep sweep in harness and
-gd_admm_step_gap all call them.  Closed-form w steps live on the losses
-(w_minimizer).  One run loop, _drive, steps run, each run_multiscale stage
-and gd.run_gd, and owns the clock, the observer, the stop test and the
-partial trace a NonFiniteError carries.
+(B, d) stacks; admm_step, the lockstep sweep in harness (through the
+unchecked _dual_step) and gd_admm_step_gap call them.  Closed-form w steps
+live on the losses (w_minimizer).  One run loop, _drive, steps run, each
+run_multiscale stage and gd.run_gd, and owns the clock, the observer, the
+stop test and the partial trace a NonFiniteError carries.
+
+Finiteness is tested on scalars a step holds anyway: ||z_{t+1} - z_t||^2 for z,
+||w_{t+1} - w_t||^2 for w and the Lagrangian (through <lambda, r>) for lambda.
+Only a non-finite scalar, which a finite step whose square overflows also
+gives, sends the arrays to a search in that order.  z needs its own scalar:
+tanh, sigmoid and softplus map an infinite z to a finite G(z).
 """
 
 import dataclasses
@@ -213,6 +219,10 @@ def dual_step_size(sigma0, feas_gap, t):
         raise ValueError("iteration counter t is 1-based")
     if _any(feas_gap < 0.0):
         raise ValueError("feasibility gap cannot be negative")
+    return _dual_step(sigma0, feas_gap, t)
+
+
+def _dual_step(sigma0, feas_gap, t):  # dual_step_size without the checks
     denom = feas_gap * t * math.log(t + 1.0) ** 2
     # sigma0 / max(1, denom) == min(sigma0, sigma0 / denom), without dividing
     # by a vanishing denom
@@ -255,9 +265,10 @@ def _any(mask):
     return mask.any() if isinstance(mask, np.ndarray) else mask
 
 
-def _ensure_finite(value, name, iteration):
-    scalar = isinstance(value, float)  # math.isfinite skips numpy's ufunc cost
-    if not (math.isfinite(value) if scalar else np.isfinite(value).all()):
+def _ensure_finite(guard, value, name, iteration):
+    """NonFiniteError(name, iteration) unless value is finite.  value is
+    searched only when guard, a scalar finite only if value is, is not."""
+    if not (math.isfinite(guard) or np.isfinite(value).all()):
         raise NonFiniteError(name, iteration)
 
 
@@ -292,7 +303,9 @@ def admm_step(problem, cfg, state, planted=None):
     z_new = problem.reg_z.prox(
         z - cfg.beta * grad_z_lagrangian(gen, tape, lam, resid, rho), cfg.beta
     )
-    _ensure_finite(z_new, "z", state.t)
+    dz = z_new - z
+    dz_sq = dz.dot(dz)
+    _ensure_finite(dz_sq, z_new, "z", state.t)
     tape_new = gen.forward(z_new, return_tape=True)
     gz_new = tape_new.output
 
@@ -302,12 +315,13 @@ def admm_step(problem, cfg, state, planted=None):
         grad_w = state.w_grad[1] if state.w_grad is not None else loss.grad(w)
         g = grad_w_lagrangian(grad_w, lam, w - gz_new, rho)
         w_new = problem.reg_w.prox(w - cfg.alpha * g, cfg.alpha)
-    _ensure_finite(w_new, "w", state.t)
+    dw = w_new - w
+    dw_sq = dw.dot(dw)
+    _ensure_finite(dw_sq, w_new, "w", state.t)
 
     resid_new = w_new - gz_new
     gap_new = _norm(resid_new)
     sigma_new, lam_new = dual_update(cfg.sigma0, lam, resid_new, gap_new, state.t)
-    _ensure_finite(lam_new, "lambda", state.t)
 
     if exact:
         loss_new, w_grad_new = loss.value(w_new), None
@@ -315,7 +329,8 @@ def admm_step(problem, cfg, state, planted=None):
         loss_new, grad_new = loss.value_and_grad(w_new)
         w_grad_new = (w_new, grad_new)
     lagrangian = aug_lagrangian(loss_new, lam_new, resid_new, gap_new, rho)
-    _ensure_finite(lagrangian, "lagrangian", state.t)
+    _ensure_finite(lagrangian, lam_new, "lambda", state.t)
+    _ensure_finite(lagrangian, lagrangian, "lagrangian", state.t)
 
     dist_w = dist_z = None
     if planted is not None:
@@ -323,7 +338,6 @@ def admm_step(problem, cfg, state, planted=None):
         dist_w = _norm(w_new - w_star)
         dist_z = _norm(z_new - z_star)
 
-    dz, dw = z_new - z, w_new - w
     record = TraceRecord(
         t=state.t,
         objective=loss_new
@@ -332,8 +346,8 @@ def admm_step(problem, cfg, state, planted=None):
         lagrangian=lagrangian,
         feas_gap=gap_new,
         sigma=sigma_new,
-        step_w=_norm(dw),
-        step_z=_norm(dz),
+        step_w=math.sqrt(dw_sq),
+        step_z=math.sqrt(dz_sq),
         stop_metric=stopping_metric(
             dz=dz, dw=dw, alpha=cfg.alpha, beta=cfg.beta,
             sigma_prev=state.sigma, gap_prev=gap,

@@ -22,7 +22,8 @@ Subcommands:
 Exit codes: 0 success, 1 configuration problem, 2 numerical failure.  Every
 failure emits a single machine-readable line ``error: <category>: <detail>``
 on standard error; floating-point traps during a diverging run surface
-through the exit-2 path rather than as warnings.
+through the exit-2 path rather than as warnings.  A ``run`` that fails
+numerically still writes the rows it completed to its trace file.
 """
 
 import argparse
@@ -103,14 +104,19 @@ def cmd_run(args):
     settings = parse_config(args.config, command="run")
     gen, inst = load_problem(settings)
     z0 = np.zeros(gen.input_dim)
-    if settings.method == "gd":
-        cfg = gd_settings(settings)
-        _, trace = run_gd(inst.problem.loss, gen, cfg, z0, planted=inst.planted)
-    else:
-        cfg = solver_settings(settings, gen, inst)
-        state = initial_state(inst.problem, cfg, z0)
-        driver = run_multiscale if cfg.multiscale is not None else run
-        _, trace = driver(inst.problem, cfg, state, planted=inst.planted)
+    try:
+        if settings.method == "gd":
+            cfg = gd_settings(settings)
+            _, trace = run_gd(inst.problem.loss, gen, cfg, z0, planted=inst.planted)
+        else:
+            cfg = solver_settings(settings, gen, inst)
+            state = initial_state(inst.problem, cfg, z0)
+            driver = run_multiscale if cfg.multiscale is not None else run
+            _, trace = driver(inst.problem, cfg, state, planted=inst.planted)
+    except NonFiniteError as exc:  # the run loop attached the rows it completed
+        if settings.trace_file is not None:
+            write_trace_csv(exc.trace, settings.trace_file, settings.zero_wall)
+        raise
     if len(trace) == 0:
         raise ConfigError("run produced no iterations")
     if settings.trace_file is not None:

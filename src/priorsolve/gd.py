@@ -17,6 +17,9 @@ z-step and one GD step from the same latent point differ by at most
 so the two algorithms coincide as the splitting becomes feasible;
 gd_admm_discrepancy evaluates that bound and gd_admm_step_gap the actual
 one-step difference.
+
+Finiteness is tested as in admm: ||z_{t+1} - z_t|| guards z_{t+1}, before the
+forward pass, and the stop metric ||grad h|| guards the gradient.
 """
 
 import time
@@ -75,13 +78,15 @@ def run_gd(loss, gen, cfg, z0, planted=None):
     def step(point):
         t, z, g, gz = point
         z_new = z - cfg.step * g
-        _ensure_finite(z_new, "z", t)
+        step_z = _norm(z_new - z)
+        _ensure_finite(step_z, z_new, "z", t)
         tape = gen.forward(z_new, return_tape=True)
         gz_new = tape.output
         objective, loss_grad = loss.value_and_grad(gz_new)
         g_new = gen.vjp(z_new, loss_grad, tape=tape)
-        _ensure_finite(g_new, "gradient", t)
-        _ensure_finite(objective, "objective", t)
+        g_norm = _norm(g_new)
+        _ensure_finite(g_norm, g_new, "gradient", t)
+        _ensure_finite(objective, objective, "objective", t)
         dist_w = dist_z = None
         if planted is not None:
             w_star, z_star = planted
@@ -94,8 +99,8 @@ def run_gd(loss, gen, cfg, z0, planted=None):
             feas_gap=0.0,
             sigma=0.0,
             step_w=_norm(gz_new - gz),
-            step_z=_norm(z_new - z),
-            stop_metric=_norm(g_new),
+            step_z=step_z,
+            stop_metric=g_norm,
             dist_w=dist_w,
             dist_z=dist_z,
         )

@@ -89,6 +89,8 @@ class Activation:
         if self.kind == "identity":
             return np.ones_like(x)
         if self.kind == "elu":
+            if self.elu_alpha == 1.0:  # exp(0) = 1 is the derivative for x > 0
+                return np.exp(np.minimum(x, 0.0))
             return np.where(x > 0.0, 1.0, self.elu_alpha * np.exp(np.minimum(x, 0.0)))
         if self.kind == "softplus":
             return _sigmoid(x)
@@ -294,15 +296,6 @@ def _norm(v):
     return math.sqrt(v.dot(v))
 
 
-def _ball_point(rng, dim, radius):
-    g = rng.standard_normal(dim)
-    norm = _norm(g)
-    while norm < 1e-30:
-        g = rng.standard_normal(dim)
-        norm = _norm(g)
-    return radius * (rng.uniform() ** (1.0 / dim)) * (g / norm)
-
-
 def estimate_geometry(gen, n_pairs, seed):
     """Estimate (iota, kappa, nu) from seeded pairs in the domain ball.
 
@@ -316,15 +309,25 @@ def estimate_geometry(gen, n_pairs, seed):
     if n_pairs < 1:
         raise ValueError("n_pairs must be at least 1")
     rng = np.random.default_rng(seed)
-    dim = gen.input_dim
-    radius = gen.domain_radius
+    dim, radius = gen.input_dim, gen.domain_radius
+    # rng.random() is the draw that rng.uniform() scales by 1 and shifts by 0
+    normal, uniform, root = rng.standard_normal, rng.random, 1.0 / dim
+
+    def ball_point():
+        g = normal(dim)
+        norm = _norm(g)
+        while norm < 1e-30:
+            g = normal(dim)
+            norm = _norm(g)
+        return radius * (uniform() ** root) * (g / norm)
+
     # rows [0, n) hold z1 and rows [n, 2n) hold z2 of the same pair
     points = np.empty((2 * n_pairs, dim))
     dists = np.empty(n_pairs)
     for i in range(n_pairs):
         while True:
-            z1 = _ball_point(rng, dim, radius)
-            z2 = _ball_point(rng, dim, radius)
+            z1 = ball_point()
+            z2 = ball_point()
             dist = _norm(z2 - z1)
             if dist >= DEGENERATE_PAIR_TOL:
                 break

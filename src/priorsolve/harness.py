@@ -31,6 +31,8 @@ over seeds.  Its rho x seed solves are independent and identical in shape,
 so they run in lockstep as one batch: every iterate is a (B, d) array with
 one row per solve and rho and beta are per-row columns, so an iteration
 costs one batched generator pass and one batched VJP instead of B of each.
+Finiteness is tested as in admm_step, on the sum of z_{t+1} for z and on the
+sum of the row Lagrangians for w and lambda.
 """
 
 import dataclasses
@@ -38,7 +40,7 @@ import math
 
 import numpy as np
 
-from .admm import SplitProblem, _ensure_finite, aug_lagrangian, dual_update
+from .admm import SplitProblem, _dual_step, _ensure_finite, aug_lagrangian
 from .admm import grad_z_lagrangian
 from .generator import estimate_geometry
 from .losses import LeastSquares, QuadraticDenoise, ScaledQuadratic
@@ -303,18 +305,19 @@ def plateau_vs_rho(
     for t in range(1, iters + 1):
         # the instances have H = 0, whose prox is the identity
         z = z - beta_col * grad_z_lagrangian(gen, tape, lam, w - tape.output, rho_col)
-        _ensure_finite(z, "z", t)
+        _ensure_finite(z.sum(), z, "z", t)
         tape = gen.forward(z, return_tape=True)
         gz = tape.output
-        # rho was checked once above; exact_w_min would re-check it per step
+        # exact_w_min and dual_update would re-check arguments checked above
         w = loss.w_minimizer(gz, lam, rho_col)
-        _ensure_finite(w, "w", t)
         resid = w - gz
         gap = np.linalg.norm(resid, axis=1, keepdims=True)
-        _, lam = dual_update(sigma0, lam, resid, gap, t)
-        _ensure_finite(lam, "lambda", t)
+        lam = lam + _dual_step(sigma0, gap, t) * resid
         lagrangian = aug_lagrangian(loss.value(w), lam, resid, gap[:, 0], rho)
-        _ensure_finite(lagrangian, "lagrangian", t)
+        guard = lagrangian.sum()
+        _ensure_finite(guard, w, "w", t)
+        _ensure_finite(guard, lam, "lambda", t)
+        _ensure_finite(guard, lagrangian, "lagrangian", t)
         row = t - 1 - (iters - tail)
         if row >= 0:
             gaps[row] = gap[:, 0]

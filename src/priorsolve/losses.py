@@ -85,7 +85,7 @@ class QuadraticDenoise(SmoothLoss):
 
     def value(self, w):
         w = self._check(w)
-        sq = np.sum((w - self.target) ** 2, axis=-1)
+        sq = np.add.reduce((w - self.target) ** 2, axis=-1)
         return 0.5 * (sq if sq.ndim else float(sq))
 
     def grad(self, w):

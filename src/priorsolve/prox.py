@@ -106,9 +106,9 @@ class Regularizer:
     def evaluate(self, x):
         """Penalty value at x; +inf outside an indicator's set (with a
         1e-12 membership tolerance)."""
-        x = np.asarray(x, dtype=float)
         if self.kind == "zero":
             return 0.0
+        x = np.asarray(x, dtype=float)
         if self.kind == "l1":
             return self.weight * float(np.abs(self._shift(x)).sum())
         if self.kind == "linf":
@@ -128,7 +128,7 @@ class Regularizer:
             raise ValueError("prox step t must be positive")
         v = np.asarray(v, dtype=float)
         if self.kind == "zero":
-            return v.copy()
+            return v  # iterates are never written in place (admm.AdmmState)
         if self.kind == "l1":
             y = self._shift(v)
             out = _soft_threshold(y, t * self.weight)

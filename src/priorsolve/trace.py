@@ -13,6 +13,7 @@ form), so parsing an emitted file reproduces the in-memory values exactly.
 
 import csv
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 __all__ = [
     "TraceRecord",
@@ -110,16 +111,14 @@ def _format(value):
 
 
 def write_trace_csv(trace, path, zero_wall=False):
-    """Write the trace; zero_wall=True blanks the (nondeterministic) timing
+    """Write the trace, streaming one line per record (csv.writer's bytes: no
+    _format-ed cell needs quoting); zero_wall=True writes 0 in the timing
     column so that repeated runs produce byte-identical files."""
+    values = attrgetter(*(TRACE_COLUMNS[:-1] if zero_wall else TRACE_COLUMNS))
+    end = ",0\r\n" if zero_wall else "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        for rec in trace:
-            row = [_format(getattr(rec, c)) for c in TRACE_COLUMNS]
-            if zero_wall:
-                row[-1] = "0"
-            writer.writerow(row)
+        fh.write(",".join(TRACE_COLUMNS) + "\r\n")
+        fh.writelines(",".join(map(_format, values(rec))) + end for rec in trace)
 
 
 def read_trace_csv(path):
@@ -156,11 +155,6 @@ def write_summary_csv(rows, path):
             extra = set(row) - set(SUMMARY_COLUMNS)
             if extra:
                 raise ValueError(f"unknown summary field(s) {sorted(extra)}")
-            out = []
-            for name in SUMMARY_COLUMNS:
-                value = row.get(name)
-                if name == "algo":
-                    out.append("" if value is None else str(value))
-                else:
-                    out.append(_format(value))
-            writer.writerow(out)
+            algo = row.get("algo")
+            numbers = [_format(row.get(name)) for name in SUMMARY_COLUMNS[1:]]
+            writer.writerow(["" if algo is None else str(algo)] + numbers)

@@ -25,6 +25,7 @@ from priorsolve.admm import (
     stopping_metric,
     suggest_step_sizes,
 )
+from priorsolve.generator import Activation, FeedforwardGenerator, Layer
 from priorsolve.losses import LeastSquares, QuadraticDenoise, ScaledQuadratic
 from priorsolve.prox import Regularizer
 
@@ -415,10 +416,50 @@ def test_divergence_raises_named_nonfinite():
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError) as info:
         run(problem, cfg, state)
     err = info.value
-    assert err.quantity in ("w", "z", "lambda", "lagrangian")
-    assert err.iteration >= 1
+    assert (err.quantity, err.iteration) == ("lagrangian", 13)
     assert err.trace is not None
     assert err.trace.column("t") == list(range(1, err.iteration))
+
+
+def tanh_problem():
+    """One tanh layer: an infinite latent has the finite image (1, 1) and a
+    zero Jacobian.  w starts 5 above G(0), so the first z step is 2.5 beta."""
+    gen = FeedforwardGenerator(
+        [Layer(np.eye(2), np.zeros(2), Activation("tanh"))], domain_radius=2.0
+    )
+    return quad_problem(gen, np.zeros(2))
+
+
+def test_infinite_latent_with_finite_image_raises_z():
+    problem = tanh_problem()
+    cfg = base_config(beta=1e308)
+    state = initial_state(problem, cfg, z0=np.zeros(2), w0=np.full(2, 5.0))
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError) as info:
+        run(problem, cfg, state)
+    assert (info.value.quantity, info.value.iteration) == ("z", 1)
+    assert len(info.value.trace) == 0
+
+
+def test_finite_step_whose_square_overflows_does_not_raise():
+    problem = tanh_problem()
+    cfg = base_config(beta=1e200)
+    state = initial_state(problem, cfg, z0=np.zeros(2), w0=np.full(2, 5.0))
+    with np.errstate(over="ignore"):
+        new, record = admm_step(problem, cfg, state)
+    np.testing.assert_array_equal(new.z, np.full(2, 1e200 * 2.5))
+    assert record.step_z == math.inf and math.isfinite(record.lagrangian)
+
+
+def test_dual_overflow_alone_raises_lambda():
+    # the exact w step lands at 1.5 from G(z) = 0 while z stays at 0; the
+    # largest sigma0 times that residual overflows lambda and nothing else
+    problem = quad_problem(linear_generator(np.eye(2)), np.array([3.0, 0.0]))
+    cfg = base_config(w_step="exact", rho=1.0, sigma0=np.finfo(float).max)
+    state = initial_state(problem, cfg, z0=np.zeros(2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteError) as info:
+            admm_step(problem, cfg, state)
+    assert (info.value.quantity, info.value.iteration) == ("lambda", 1)
 
 
 def test_exact_mode_rejects_nonzero_w_regularizer():

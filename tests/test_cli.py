@@ -1,8 +1,10 @@
 """End-to-end tests for the command-line interface."""
 
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,6 +157,22 @@ def test_run_numerical_error(tmp_path, capsys):
     assert any(line.startswith("error: numerical:") for line in err.splitlines())
 
 
+def test_run_numerical_error_keeps_partial_trace(tmp_path, capsys):
+    write_generator(tmp_path)
+    trace_path = tmp_path / "t.csv"
+    text = BASE.format(trace=trace_path).replace(
+        "rho = 0.5", "rho = 0.5\nalpha = 1e12"
+    ) + "zero_wall = true\n"
+    assert main(["run", str(write_config(tmp_path, text))]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: numerical:")
+    iteration = int(err[0].rsplit(" ", 1)[1])
+    assert iteration > 1
+    trace = read_trace_csv(trace_path)
+    assert trace.column("t") == list(range(1, iteration))
+    assert all(r.wall_ns == 0 for r in trace)
+
+
 COMPARE = """\
 [problem]
 kind = denoise_l2
@@ -190,6 +208,41 @@ def test_compare_writes_aligned_artifacts(tmp_path, capsys):
     assert main(["compare", str(cfg), "--out-dir", str(out_b)]) == 0
     for name in ("gd_trace.csv", "admm_trace.csv", "eadmm_trace.csv", "summary.csv"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+# sha256 of the shipped reference runs; solver or writer changes that move a
+# bit of these artifacts must say so and re-pin them
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+REFERENCE_COMPARE_SHA256 = {
+    "admm_trace.csv": "c4bd692e554ddfe83739bdfd0e57a838ddaf3aa6f5af9884dc5862476536dfb9",
+    "eadmm_trace.csv": "6ae92236cd6a95fb63878ed9125fb4d40277d4bd03c12e23f724d1daf57c3f6b",
+    "gd_trace.csv": "21580e250407d54c8c030566fb6c81b3d9209457729af4797dd9332974cf7e1e",
+    "summary.csv": "91f9da787b810b12d1bd8bc2c52ad9a5bf418bc1b5b41cfa9b55c9a4523605c6",
+}
+REFERENCE_SWEEP_SHA256 = (
+    "ca958410f411d2726f517dc12169968f860a3d144b63f77f2ada48656192a5d2"
+)
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_reference_compare_artifacts_are_pinned(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["compare", str(CONFIGS / "reference.ini"), "--out-dir", str(out)]) == 0
+    assert {p.name: sha256(p) for p in out.iterdir()} == REFERENCE_COMPARE_SHA256
+
+
+def test_reference_plateau_sweep_artifact_is_pinned(tmp_path, capsys):
+    out = tmp_path / "plateaus.csv"
+    argv = [
+        "plateau-sweep", "--generator", str(CONFIGS / "reference_generator.json"),
+        "--rho-values", "1,2,4,8", "--seeds", "0,1,2", "--iters", "1500",
+        "--out", str(out),
+    ]
+    assert main(argv) == 0
+    assert sha256(out) == REFERENCE_SWEEP_SHA256
 
 
 def test_compare_shares_planted_instance(tmp_path):

@@ -20,6 +20,7 @@ from priorsolve.gd import (
     run_gd,
     tune_gd_step,
 )
+from priorsolve.generator import Activation, FeedforwardGenerator, Layer
 from priorsolve.generator import estimate_geometry
 from priorsolve.losses import LeastSquares, QuadraticDenoise
 from priorsolve.prox import Regularizer
@@ -125,9 +126,37 @@ def test_run_gd_divergence_raises():
     cfg = GdConfig(step=1e14, max_iters=100, grad_tol=1e-30)
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError) as info:
         run_gd(loss, gen, cfg, z0=np.array([0.4, 0.4, 0.1]))
-    assert info.value.quantity in ("z", "gradient", "objective")
+    assert (info.value.quantity, info.value.iteration) == ("objective", 11)
     assert info.value.trace is not None
     assert info.value.trace.column("t") == list(range(1, info.value.iteration))
+
+
+def tanh_generator():
+    """One tanh layer: an infinite latent has the finite image (1, 1) and a
+    zero gradient."""
+    return FeedforwardGenerator(
+        [Layer(np.eye(2), np.zeros(2), Activation("tanh"))], domain_radius=2.0
+    )
+
+
+def test_run_gd_infinite_latent_with_finite_image_raises_z():
+    # grad h(0) = -(5, 5), so the first step lands at 5 * step
+    loss = QuadraticDenoise(np.full(2, 5.0))
+    cfg = GdConfig(step=1e308, max_iters=5, grad_tol=1e-30)
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError) as info:
+        run_gd(loss, tanh_generator(), cfg, z0=np.zeros(2))
+    assert (info.value.quantity, info.value.iteration) == ("z", 1)
+
+
+def test_run_gd_finite_step_whose_square_overflows_does_not_raise():
+    loss = QuadraticDenoise(np.full(2, 5.0))
+    cfg = GdConfig(step=1e200, max_iters=5, grad_tol=1e-30)
+    with np.errstate(over="ignore"):
+        z, trace = run_gd(loss, tanh_generator(), cfg, z0=np.zeros(2))
+    np.testing.assert_array_equal(z, np.full(2, 1e200 * 5.0))
+    # the gradient vanishes in saturation, so the run stops on it
+    assert len(trace) == 1 and trace.records[0].step_z == np.inf
+    assert trace.records[0].stop_metric == 0.0
 
 
 def test_gd_config_validation():

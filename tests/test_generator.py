@@ -48,6 +48,15 @@ def test_activation_derivatives_match_finite_differences():
             assert abs(got - want) < 1e-6, (kind, x)
 
 
+def test_elu_derivative_with_alpha_matches_finite_differences():
+    # elu_alpha = 1 takes a shortcut in derivative; other values do not
+    with pytest.warns(UserWarning):
+        act = Activation("elu", elu_alpha=2.0)
+    for x in (-3.0, -0.5, -1e-3, 1e-3, 0.5, 3.0):
+        want = fd_grad(lambda v: float(act.value(v)[0]), np.array([x]), h=1e-6)[0]
+        assert abs(act.derivative(np.array([x]))[0] - want) < 1e-6, x
+
+
 def test_elu_alpha_validation_and_flag():
     with pytest.raises(ValueError):
         Activation("elu", elu_alpha=0.0)

@@ -2,7 +2,7 @@
 change no bit of the results, a batch of latents, like a (B, d) stack of
 iterates in the Lagrangian formulas, is evaluated row by row, and the batched
 geometry estimate agrees with its per-pair form and extends its own smaller
-samples."""
+samples, and the ELU derivative equals its piecewise form."""
 
 import math
 
@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from oracles import geometry_pairs, serial_geometry
 from priorsolve.admm import (
@@ -29,6 +30,16 @@ from priorsolve.losses import LeastSquares, QuadraticDenoise, ScaledQuadratic
 
 finite = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
 EPS = np.finfo(float).eps
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, array_shapes(max_dims=2, max_side=16), elements=st.floats()))
+def test_elu_derivative_equals_its_piecewise_form(x):
+    """With elu_alpha = 1, derivative returns exp(min(x, 0)); exp(0) = 1
+    exactly, so it equals the piecewise form bit for bit, nan included."""
+    with np.errstate(over="ignore"):
+        piecewise = np.where(x > 0.0, 1.0, 1.0 * np.exp(np.minimum(x, 0.0)))
+    assert Activation("elu").derivative(x).tobytes() == piecewise.tobytes()
 
 
 @st.composite

@@ -58,6 +58,12 @@ def test_prox_zero_is_identity():
     np.testing.assert_array_equal(Regularizer.zero().prox(v, 0.7), v)
 
 
+def test_prox_zero_returns_a_float_array():
+    out = Regularizer.zero().prox([1, 2], 0.5)
+    assert isinstance(out, np.ndarray) and out.dtype == np.float64
+    np.testing.assert_array_equal(out, [1.0, 2.0])
+
+
 def test_prox_l1_soft_threshold_frozen():
     got = Regularizer.l1(1.0).prox(np.array([2.0, -0.3, 0.0]), 0.5)
     np.testing.assert_allclose(got, [1.5, 0.0, 0.0], rtol=0, atol=0)
