@@ -19,15 +19,11 @@ from .admm import (
     UnsupportedLossError,
     admm_step,
     aug_lagrangian,
-    dual_step_size,
-    dual_update,
-    exact_w_min,
     grad_w_lagrangian,
     grad_z_lagrangian,
     initial_state,
     run,
     run_multiscale,
-    stopping_metric,
     suggest_step_sizes,
 )
 from .config import ConfigError, RunSettings, load_problem, parse_config
@@ -59,7 +55,7 @@ from .harness import (
     plateau_vs_rho,
 )
 from .losses import LeastSquares, QuadraticDenoise, ScaledQuadratic
-from .prox import Regularizer, project_l1_ball
+from .prox import Regularizer
 from .trace import (
     RunTrace,
     StageInfo,
@@ -97,10 +93,7 @@ __all__ = [
     "aug_lagrangian",
     "best_lagrangian",
     "build_instance",
-    "dual_step_size",
-    "dual_update",
     "estimate_geometry",
-    "exact_w_min",
     "fit_rate",
     "gd_admm_discrepancy",
     "gd_admm_step_gap",
@@ -113,13 +106,11 @@ __all__ = [
     "parse_config",
     "perturb_weights",
     "plateau_vs_rho",
-    "project_l1_ball",
     "read_trace_csv",
     "run",
     "run_gd",
     "run_multiscale",
     "save_generator",
-    "stopping_metric",
     "suggest_step_sizes",
     "tune_gd_step",
     "write_summary_csv",

@@ -440,11 +440,11 @@ def run_multiscale(problem, cfg, state, planted=None, observer=None):
 def suggest_step_sizes(loss, kappa_hat, rho):
     """Advisory defaults from the strongly convex regime: alpha = 1/nu_L and
     beta = 1/(rho * kappa_hat^2)."""
-    if kappa_hat <= 0.0:
+    if not kappa_hat > 0.0:
         raise ValueError("kappa_hat must be strictly positive")
-    if rho <= 0.0:
+    if not rho > 0.0:
         raise ValueError("rho must be strictly positive")
     nu = loss.convexity_constants()[1]
-    if nu <= 0.0:
+    if not nu > 0.0:
         raise ValueError("loss smoothness constant must be strictly positive")
     return 1.0 / nu, 1.0 / (rho * kappa_hat**2)

@@ -22,17 +22,25 @@ Subcommands:
 Exit codes: 0 success, 1 configuration problem, 2 numerical failure.  Every
 failure emits a single machine-readable line ``error: <category>: <detail>``
 on standard error; floating-point traps during a diverging run surface
-through the exit-2 path rather than as warnings.  A ``run`` that fails
-numerically still writes the rows it completed to its trace file.
+through the exit-2 path rather than as warnings.  A ``run`` or ``compare``
+that fails numerically still writes the rows each solver completed to its
+trace file (``compare`` then writes no summary).
 """
 
 import argparse
 import os
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
-from .admm import NonFiniteError, initial_state, run, run_multiscale
+from .admm import (
+    NonFiniteError,
+    initial_state,
+    run,
+    run_multiscale,
+    suggest_step_sizes,
+)
 from .config import (
     ConfigError,
     gd_settings,
@@ -100,27 +108,39 @@ def _print_result(algo, trace):
     )
 
 
-def cmd_run(args):
-    settings = parse_config(args.config, command="run")
-    gen, inst = load_problem(settings)
+def _solve(method, settings, gen, inst, trace_path, zero_wall, geometry=None):
+    """Run one method from z = 0 and write its trace to trace_path (None
+    writes nothing).  A missing gd step falls back to the admm z step size
+    (compare); geometry, the result of step_geometry, spares re-estimating
+    it per method.  On a numerical failure the rows the run completed are
+    written before the error propagates."""
     z0 = np.zeros(gen.input_dim)
     try:
-        if settings.method == "gd":
-            cfg = gd_settings(settings)
+        if method == "gd":
+            beta = None
+            if settings.step is None:
+                beta = solver_settings(settings, gen, inst, "admm", geometry).beta
+            cfg = gd_settings(settings, fallback_step=beta)
             _, trace = run_gd(inst.problem.loss, gen, cfg, z0, planted=inst.planted)
         else:
-            cfg = solver_settings(settings, gen, inst)
+            cfg = solver_settings(settings, gen, inst, method, geometry)
             state = initial_state(inst.problem, cfg, z0)
             driver = run_multiscale if cfg.multiscale is not None else run
             _, trace = driver(inst.problem, cfg, state, planted=inst.planted)
     except NonFiniteError as exc:  # the run loop attached the rows it completed
-        if settings.trace_file is not None:
-            write_trace_csv(exc.trace, settings.trace_file, settings.zero_wall)
+        if trace_path is not None:
+            write_trace_csv(exc.trace, trace_path, zero_wall=zero_wall)
         raise
-    if len(trace) == 0:
-        raise ConfigError("run produced no iterations")
-    if settings.trace_file is not None:
-        write_trace_csv(trace, settings.trace_file, zero_wall=settings.zero_wall)
+    if trace_path is not None:
+        write_trace_csv(trace, trace_path, zero_wall=zero_wall)
+    return trace
+
+
+def cmd_run(args):
+    settings = parse_config(args.config, command="run")
+    gen, inst = load_problem(settings)
+    trace = _solve(settings.method, settings, gen, inst,
+                   settings.trace_file, settings.zero_wall)
     if settings.summary_file is not None:
         wall = 0 if settings.zero_wall else trace.records[-1].wall_ns
         write_summary_csv([_summary_row(settings.method, trace, wall)],
@@ -133,53 +153,39 @@ def cmd_compare(args):
     settings = parse_config(args.config, command="compare")
     gen, inst = load_problem(settings)
     os.makedirs(args.out_dir, exist_ok=True)
-    z0 = np.zeros(gen.input_dim)
-
     geometry = step_geometry(settings, gen)
-    admm_cfg = solver_settings(settings, gen, inst, method="admm", geometry=geometry)
-    eadmm_cfg = solver_settings(settings, gen, inst, method="eadmm", geometry=geometry)
-    gd_cfg = gd_settings(settings, fallback_step=admm_cfg.beta)
-
     traces = {}
-    _, traces["gd"] = run_gd(
-        inst.problem.loss, gen, gd_cfg, z0, planted=inst.planted
-    )
-    state = initial_state(inst.problem, admm_cfg, z0)
-    _, traces["admm"] = run(inst.problem, admm_cfg, state, planted=inst.planted)
-    state = initial_state(inst.problem, eadmm_cfg, z0)
-    _, traces["eadmm"] = run_multiscale(
-        inst.problem, eadmm_cfg, state, planted=inst.planted
-    )
-
-    rows = []
     for algo in ("gd", "admm", "eadmm"):
-        trace = traces[algo]
-        write_trace_csv(
-            trace, os.path.join(args.out_dir, f"{algo}_trace.csv"), zero_wall=True
-        )
-        rows.append(_summary_row(algo, trace, wall_ns=0))
+        path = os.path.join(args.out_dir, f"{algo}_trace.csv")
+        traces[algo] = _solve(algo, settings, gen, inst, path, zero_wall=True,
+                              geometry=geometry)
+    for algo, trace in traces.items():
         last = trace.records[-1]
         print(
             f"algo={algo} iters={len(trace)} "
             f"final_obj={_fmt(last.objective)} final_gap={_fmt(last.feas_gap)}"
         )
-    write_summary_csv(rows, os.path.join(args.out_dir, "summary.csv"))
+    write_summary_csv(
+        [_summary_row(algo, trace, wall_ns=0) for algo, trace in traces.items()],
+        os.path.join(args.out_dir, "summary.csv"),
+    )
     return 0
 
 
 def cmd_estimate_geometry(args):
     gen = open_generator(args.generator)
     est = estimate_geometry(gen, args.pairs, seed=args.seed)
+    # suggest_step_sizes reads only the smoothness constant of the loss
+    loss = SimpleNamespace(convexity_constants=lambda: (None, args.nu_loss))
+    alpha, beta = suggest_step_sizes(loss, est.kappa_hat, args.rho)
     print(f"iota_hat={_fmt(est.iota_hat)}")
     print(f"kappa_hat={_fmt(est.kappa_hat)}")
     print(f"nu_g_hat={_fmt(est.nu_g_hat)}")
     print(f"n_pairs={est.n_pairs}")
     print(f"seed={est.seed}")
     print(f"domain_radius={_fmt(est.domain_radius)}")
-    # the step sizes these constants suggest (see suggest_step_sizes):
-    # alpha = 1/nu for a loss with smoothness nu, beta = 1/(rho kappa^2)
-    print(f"suggested_alpha={_fmt(1.0 / args.nu_loss)}")
-    print(f"suggested_beta={_fmt(1.0 / (args.rho * est.kappa_hat**2))}")
+    print(f"suggested_alpha={_fmt(alpha)}")
+    print(f"suggested_beta={_fmt(beta)}")
     return 0
 
 

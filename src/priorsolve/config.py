@@ -2,7 +2,8 @@
 
 A config file has sections [problem], [generator], [algorithm], and
 optionally [output]; any other section or key is an error, as is a key that
-does not apply to the declared problem kind or solver method.
+does not apply to the declared problem kind or solver method, or a float
+that is not finite (nan, inf).
 
 [problem]
   kind               denoise_l2 | denoise_linf | compressive_sensing (required)
@@ -43,6 +44,7 @@ baselines are matched first-order methods.
 
 import configparser
 import dataclasses
+import math
 import os
 
 from .admm import AdmmConfig, MultiscaleSchedule, suggest_step_sizes
@@ -122,9 +124,12 @@ class _Section:
             return default
         raw = self.left.pop(key)
         try:
-            return conv(raw)
+            value = conv(raw)
         except ValueError:
             raise ConfigError(f"[{self.name}] {key}: cannot parse {raw!r}") from None
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"[{self.name}] {key} must be finite")
+        return value
 
     def has(self, key):
         return key in self.left
@@ -334,18 +339,11 @@ def solver_settings(settings, gen, inst, method=None, geometry=None):
         )
         alpha = sug_alpha if alpha is None else alpha
         beta = sug_beta if beta is None else beta
+    max_iters, schedule = settings.max_iters, None
     if method == "eadmm":
-        return AdmmConfig(
-            rho=settings.rho,
-            alpha=alpha,
-            beta=beta,
-            sigma0=settings.sigma0,
-            tau_c=settings.tau_c,
-            max_iters=_stage_total(settings.stages, settings.stage_iters),
-            w_step="exact",
-            multiscale=MultiscaleSchedule(
-                stages=settings.stages, base_iters=settings.stage_iters
-            ),
+        max_iters = _stage_total(settings.stages, settings.stage_iters)
+        schedule = MultiscaleSchedule(
+            stages=settings.stages, base_iters=settings.stage_iters
         )
     return AdmmConfig(
         rho=settings.rho,
@@ -353,8 +351,9 @@ def solver_settings(settings, gen, inst, method=None, geometry=None):
         beta=beta,
         sigma0=settings.sigma0,
         tau_c=settings.tau_c,
-        max_iters=settings.max_iters,
-        w_step="linearized",
+        max_iters=max_iters,
+        w_step="linearized" if schedule is None else "exact",
+        multiscale=schedule,
     )
 
 

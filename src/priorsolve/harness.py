@@ -117,14 +117,15 @@ def build_instance(
     """
     if kind not in INSTANCE_KINDS:
         raise ValueError(f"unknown instance kind {kind!r}")
-    if noise_level < 0.0:
-        raise ValueError("noise_level must be nonnegative")
-    if measurement_ratio <= 0.0:
-        raise ValueError("measurement_ratio must be strictly positive")
-    if gamma <= 0.0:
-        raise ValueError("gamma must be strictly positive")
-    if linf_weight <= 0.0:
-        raise ValueError("linf_weight must be strictly positive")
+    if not (math.isfinite(noise_level) and noise_level >= 0.0):
+        raise ValueError("noise_level must be finite and nonnegative")
+    for name, value in (
+        ("measurement_ratio", measurement_ratio),
+        ("gamma", gamma),
+        ("linf_weight", linf_weight),
+    ):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and strictly positive")
 
     rng = np.random.default_rng(seed)
     z_star = _planted_latent(rng, gen.input_dim, gen.domain_radius)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -210,6 +211,27 @@ def test_compare_writes_aligned_artifacts(tmp_path, capsys):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
+def test_compare_numerical_error_keeps_finished_and_partial_traces(
+    tmp_path, capsys
+):
+    write_generator(tmp_path)
+    text = COMPARE.replace("rho = 0.5", "rho = 0.5\nalpha = 1e12")
+    cfg, out = write_config(tmp_path, text), tmp_path / "o"
+    assert main(["compare", str(cfg), "--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: numerical:")
+    iteration = int(err[0].rsplit(" ", 1)[1])
+    assert iteration > 1
+    # gd does not use alpha and runs its full budget before admm diverges
+    assert read_trace_csv(out / "gd_trace.csv").column("t") == list(range(1, 16))
+    partial = read_trace_csv(out / "admm_trace.csv")
+    assert partial.column("t") == list(range(1, iteration))
+    assert all(r.wall_ns == 0 for r in partial)
+    assert sorted(p.name for p in out.iterdir()) == ["admm_trace.csv", "gd_trace.csv"]
+
+
 # sha256 of the shipped reference runs; solver or writer changes that move a
 # bit of these artifacts must say so and re-pin them
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -245,6 +267,35 @@ def test_reference_plateau_sweep_artifact_is_pinned(tmp_path, capsys):
     assert sha256(out) == REFERENCE_SWEEP_SHA256
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("problem", "noise_level", "nan"),
+        ("problem", "noise_level", "inf"),
+        ("algorithm", "alpha", "inf"),
+        ("algorithm", "sigma0", "inf"),
+    ],
+)
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_non_finite_config_value_is_config_error(
+    tmp_path, capsys, command, section, key, value
+):
+    text = re.sub(rf"(?m)^{key} = .*\n", "", (CONFIGS / "reference.ini").read_text())
+    text = text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
+    text = text.replace("= reference_generator", f"= {CONFIGS}/reference_generator")
+    out = tmp_path / "out"
+    text = text.replace("= reference_trace.csv", f"= {out}/trace.csv")
+    argv = [command, str(write_config(tmp_path, text))]
+    if command == "compare":
+        argv += ["--out-dir", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.splitlines() == [
+        f"error: config: [{section}] {key} must be finite"
+    ]
+
+
 def test_compare_shares_planted_instance(tmp_path):
     write_generator(tmp_path)
     cfg = write_config(tmp_path, COMPARE)
@@ -275,6 +326,27 @@ def test_estimate_geometry(tmp_path, capsys):
     assert values["n_pairs"] == "400"
     assert float(values["suggested_alpha"]) == 1.0
     assert abs(float(values["suggested_beta"]) - 0.5) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--rho", "0"),
+        ("--rho", "-1"),
+        ("--rho", "nan"),
+        ("--nu-loss", "0"),
+        ("--nu-loss", "-1"),
+        ("--nu-loss", "nan"),
+    ],
+)
+def test_estimate_geometry_rejects_bad_step_flags(tmp_path, capsys, flag, value):
+    path = write_orthonormal_generator(tmp_path)
+    argv = ["estimate-geometry", "--generator", str(path), "--pairs", "50"]
+    assert main([*argv, f"{flag}={value}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: config:")
 
 
 def test_estimate_geometry_missing_file(tmp_path, capsys):

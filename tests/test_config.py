@@ -1,5 +1,7 @@
 """Tests for the INI run-configuration layer."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,29 @@ def test_bad_values(tmp_path):
     bad_kind = BASE.replace("kind = denoise_l2", "kind = inpainting")
     with pytest.raises(ConfigError, match="kind"):
         parse_config(write_config(tmp_path, bad_kind), command="run")
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("problem", "noise_level", "nan"),
+        ("problem", "noise_level", "inf"),
+        ("problem", "noise_level", "-inf"),
+        ("algorithm", "rho", "nan"),
+        ("algorithm", "rho", "inf"),
+        ("algorithm", "alpha", "inf"),
+        ("algorithm", "beta", "inf"),
+        ("algorithm", "sigma0", "inf"),
+        ("algorithm", "tau_c", "inf"),
+        ("algorithm", "grad_tol", "inf"),
+    ],
+)
+def test_non_finite_values_rejected(tmp_path, section, key, value):
+    write_generator(tmp_path)
+    text = re.sub(rf"(?m)^{key} = .*\n", "", BASE)
+    text = text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=rf"\[{section}\] {key} must be finite"):
+        parse_config(write_config(tmp_path, text), command="run")
 
 
 def test_method_key_requirements(tmp_path):

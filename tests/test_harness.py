@@ -119,6 +119,24 @@ def test_build_instance_validation():
         build_instance(gen, "denoise_linf", seed=0, linf_weight=-1.0)
 
 
+@pytest.mark.parametrize(
+    "kind, kw",
+    [
+        ("denoise_l2", dict(noise_level=math.nan)),
+        ("denoise_l2", dict(noise_level=math.inf)),
+        ("compressive_sensing", dict(measurement_ratio=math.nan)),
+        ("compressive_sensing", dict(measurement_ratio=math.inf)),
+        ("denoise_linf", dict(gamma=math.nan)),
+        ("denoise_linf", dict(gamma=math.inf)),
+        ("denoise_linf", dict(linf_weight=math.nan)),
+        ("denoise_linf", dict(linf_weight=math.inf)),
+    ],
+)
+def test_build_instance_rejects_non_finite_arguments(kind, kw):
+    with pytest.raises(ValueError, match=f"{next(iter(kw))} must be finite"):
+        build_instance(random_net(seed=5), kind, seed=0, **kw)
+
+
 # ---------------------------------------------------------------------------
 # fit_rate
 
@@ -253,6 +271,21 @@ def test_plateau_vs_rho_diverging_row_fails_like_its_serial_run(
         serial.value.quantity,
         serial.value.iteration,
     )
+
+
+def test_plateau_vs_rho_overflowing_target_fails_on_w_like_its_serial_run():
+    """A finite noise level can still draw a target that overflows (seed 2
+    here); the closed-form w step is then the first non-finite quantity,
+    and the batch names it as the serial run does."""
+    gen = random_net(seed=11, sizes=(2, 6), kinds=("elu",), scale=0.8)
+    kw = dict(noise_level=1e308, iters=30, sigma0=0.2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteError) as serial:
+            serial_tails(gen, 1.0, 2, **kw)
+        with pytest.raises(NonFiniteError) as lockstep:
+            plateau_vs_rho(gen, rho_values=(1.0, 2.0), seeds=(2,), **kw)
+    assert (serial.value.quantity, serial.value.iteration) == ("w", 1)
+    assert (lockstep.value.quantity, lockstep.value.iteration) == ("w", 1)
 
 
 def test_plateau_vs_rho_validation():

@@ -1,9 +1,16 @@
 """Trace records and CSV round-trip fidelity."""
 
+import csv
+import io
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from priorsolve.trace import (
+    TRACE_COLUMNS,
     RunTrace,
     TraceRecord,
     read_trace_csv,
@@ -36,14 +43,56 @@ def random_trace(seed, n, with_dist=True):
     return trace
 
 
-def test_round_trip_is_exact(tmp_path):
-    for seed, with_dist in ((0, True), (1, False)):
-        trace = random_trace(seed, 37, with_dist)
-        path = tmp_path / f"trace{seed}.csv"
-        write_trace_csv(trace, path)
-        back = read_trace_csv(path)
-        assert len(back) == len(trace)
-        assert back.records == trace.records  # dataclass equality, field by field
+def same_value(a, b):
+    """Equal, with nan equal to nan and the sign of zero kept."""
+    if a is None or b is None:
+        return a is b
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+FLOAT_FIELDS = TRACE_COLUMNS[1:-3]
+records = st.lists(
+    st.tuples(
+        st.tuples(*(st.floats() for _ in FLOAT_FIELDS)),
+        st.tuples(*(st.none() | st.floats() for _ in range(2))),
+        st.integers(0, 2**63 - 1),
+    ),
+    max_size=6,
+)
+
+
+@pytest.fixture(scope="module")
+def scratch_csv(tmp_path_factory):
+    return tmp_path_factory.mktemp("round_trip") / "trace.csv"
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=records, zero_wall=st.booleans())
+def test_round_trip_is_exact(scratch_csv, rows, zero_wall):
+    """Any float64 (nan, +-inf, -0.0, subnormals, max) and blank distance
+    columns read back unchanged, and the file holds csv.writer's bytes for
+    the same cells."""
+    trace = RunTrace()
+    for t, (floats, dists, wall_ns) in enumerate(rows, start=1):
+        values = dict(zip(FLOAT_FIELDS, floats), dist_w=dists[0], dist_z=dists[1])
+        trace.append(TraceRecord(t=t, wall_ns=wall_ns, **values))
+    write_trace_csv(trace, scratch_csv, zero_wall=zero_wall)
+    back = read_trace_csv(scratch_csv)
+    written = scratch_csv.read_bytes()
+    want = io.StringIO(newline="")
+    writer = csv.writer(want)
+    writer.writerow(TRACE_COLUMNS)
+    for rec in trace:
+        cells = [getattr(rec, name) for name in TRACE_COLUMNS]
+        writer.writerow(cells[:-1] + [0 if zero_wall else rec.wall_ns])
+    assert written == want.getvalue().encode()
+    assert len(back) == len(trace)
+    for got, rec in zip(back, trace):
+        for name in TRACE_COLUMNS[:-1]:
+            assert same_value(getattr(got, name), getattr(rec, name)), name
+        assert got.wall_ns == (0 if zero_wall else rec.wall_ns)
 
 
 def test_blank_dist_columns_when_no_planted_solution(tmp_path):
