@@ -42,7 +42,6 @@ from .generator import (
     Layer,
     estimate_geometry,
     load_generator,
-    perturb_weights,
     save_generator,
 )
 from .harness import (
@@ -104,7 +103,6 @@ __all__ = [
     "load_generator",
     "load_problem",
     "parse_config",
-    "perturb_weights",
     "plateau_vs_rho",
     "read_trace_csv",
     "run",

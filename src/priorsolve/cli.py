@@ -28,6 +28,7 @@ trace file (``compare`` then writes no summary).
 """
 
 import argparse
+import math
 import os
 import sys
 from types import SimpleNamespace
@@ -70,8 +71,15 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _finite_float(raw):
+    value = float(raw)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{raw!r} is not a finite number")
+    return value
+
+
 def _float_list(raw):
-    return tuple(float(x) for x in raw.split(","))
+    return tuple(_finite_float(x) for x in raw.split(","))
 
 
 def _int_list(raw):
@@ -246,9 +254,11 @@ def build_parser():
     p.add_argument("--generator", required=True, help="generator JSON file")
     p.add_argument("--pairs", type=int, default=2000, help="sample pairs")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rho", type=float, default=1.0, help="penalty weight for beta")
     p.add_argument(
-        "--nu-loss", type=float, default=1.0, help="loss smoothness for alpha"
+        "--rho", type=_finite_float, default=1.0, help="penalty weight for beta"
+    )
+    p.add_argument(
+        "--nu-loss", type=_finite_float, default=1.0, help="loss smoothness for alpha"
     )
     p.set_defaults(func=cmd_estimate_geometry)
 
@@ -256,9 +266,9 @@ def build_parser():
     p.add_argument("--generator", required=True)
     p.add_argument("--rho-values", type=_float_list, required=True)
     p.add_argument("--seeds", type=_int_list, default=(0,))
-    p.add_argument("--noise", type=float, default=0.1)
+    p.add_argument("--noise", type=_finite_float, default=0.1)
     p.add_argument("--iters", type=int, default=2000)
-    p.add_argument("--sigma0", type=float, default=0.2)
+    p.add_argument("--sigma0", type=_finite_float, default=0.2)
     p.add_argument("--out", default=None, help="CSV output path")
     p.set_defaults(func=cmd_plateau_sweep)
 
@@ -266,7 +276,7 @@ def build_parser():
     p.add_argument("--generator", required=True)
     p.add_argument("--steps", type=_float_list, required=True)
     p.add_argument("--kind", default="denoise_l2")
-    p.add_argument("--noise", type=float, default=0.0)
+    p.add_argument("--noise", type=_finite_float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--starts", type=int, default=3)
     p.add_argument(

@@ -39,7 +39,8 @@ that is not finite (nan, inf).
 `compare` runs all three solvers from one file, so it ignores method (the
 key may still be present), requires rho, max_iters, stages and stage_iters,
 and fills a missing gd step with the splitting solver's z step size so the
-baselines are matched first-order methods.
+baselines are matched first-order methods.  Kind denoise_linf rejects eadmm
+and `compare`: the exact w step needs the zero w-regularizer.
 """
 
 import configparser
@@ -246,6 +247,11 @@ def parse_config(path, command="run"):
             raise ConfigError(
                 "[algorithm] max_iters is derived from the stage plan for eadmm"
             )
+    if kind == "denoise_linf" and (command == "compare" or method == "eadmm"):
+        raise ConfigError(
+            "[problem] kind denoise_linf cannot run eadmm (its exact w step "
+            "needs the zero w-regularizer)"
+        )
 
     trace_file = None
     summary_file = None

@@ -153,11 +153,7 @@ def tune_gd_step(loss, gen, z0s, steps, budget):
             with np.errstate(over="ignore", invalid="ignore"):
                 try:
                     _, trace = run_gd(loss, gen, cfg, z0)
-                    finals.append(
-                        trace.records[-1].objective if len(trace) else loss.value(
-                            gen.forward(z0)
-                        )
-                    )
+                    finals.append(trace.records[-1].objective)
                 except NonFiniteError:
                     finals.append(np.inf)
         results.append((step, float(np.mean(finals))))

@@ -11,9 +11,9 @@ derivatives, sampled estimates of the near-isometry constants
 
 and of the strong-smoothness constant nu bounding the linearization
 remainder ||G(z') - G(z) - DG(z)(z' - z)|| <= (nu / 2) * ||z' - z||^2,
-plus seeded weight perturbation and a JSON description format.  A
-geometry estimate draws its pairs one at a time but evaluates them together:
-one batched forward pass over every sampled point and one batched JVP.
+plus a JSON description format.  A geometry estimate draws its pairs one at
+a time but evaluates them together: one batched forward pass over every
+sampled point and one batched JVP.
 """
 
 import json
@@ -31,7 +31,6 @@ __all__ = [
     "GeometryEstimate",
     "Tape",
     "estimate_geometry",
-    "perturb_weights",
     "save_generator",
     "load_generator",
 ]
@@ -151,17 +150,14 @@ class FeedforwardGenerator:
     Parameters
     ----------
     layers : sequence of Layer
-        Applied in order.  Widths must be non-decreasing so that every
-        weight matrix can have full column rank.
+        Applied in order.  Widths must be non-decreasing, and every weight
+        matrix must have full column rank (sigma_min > RANK_TOL sigma_max).
     domain_radius : float
         Radius of the Euclidean ball the latent input is assumed to live in.
         Geometry estimates sample from this ball.
-    rank_check : bool
-        When True (default), reject any weight matrix whose smallest
-        singular value is at most RANK_TOL times its largest.
     """
 
-    def __init__(self, layers, domain_radius, rank_check=True):
+    def __init__(self, layers, domain_radius):
         layers = tuple(layers)
         if not layers:
             raise ValueError("generator needs at least one layer")
@@ -179,13 +175,12 @@ class FeedforwardGenerator:
                     f"layer {i} expects input width {cols} but layer {i - 1} "
                     f"produces {layers[i - 1].weight.shape[0]}"
                 )
-            if rank_check:
-                s = np.linalg.svd(layer.weight, compute_uv=False)
-                if s[-1] <= RANK_TOL * s[0]:
-                    raise ValueError(
-                        f"layer {i} weight is rank deficient "
-                        f"(sigma_min/sigma_max = {s[-1] / max(s[0], 1e-300):.3e})"
-                    )
+            s = np.linalg.svd(layer.weight, compute_uv=False)
+            if s[-1] <= RANK_TOL * s[0]:
+                raise ValueError(
+                    f"layer {i} weight is rank deficient "
+                    f"(sigma_min/sigma_max = {s[-1] / max(s[0], 1e-300):.3e})"
+                )
         self.layers = layers
         self.domain_radius = float(domain_radius)
 
@@ -196,10 +191,6 @@ class FeedforwardGenerator:
     @property
     def output_dim(self):
         return self.layers[-1].weight.shape[0]
-
-    @property
-    def layer_sizes(self):
-        return (self.input_dim,) + tuple(l.weight.shape[0] for l in self.layers)
 
     def _forward_trace(self, z):
         z = x = np.asarray(z, dtype=float)
@@ -357,21 +348,6 @@ def estimate_geometry(gen, n_pairs, seed):
         seed=seed,
         domain_radius=radius,
     )
-
-
-def perturb_weights(gen, magnitude, seed):
-    """Fresh generator with i.i.d. uniform(-magnitude, magnitude) noise added
-    to every weight entry.  Biases and the original generator are untouched.
-    The result skips the rank check so that perturbation can be used to
-    repair a deliberately degenerate generator."""
-    if magnitude <= 0.0:
-        raise ValueError("magnitude must be positive")
-    rng = np.random.default_rng(seed)
-    layers = []
-    for layer in gen.layers:
-        noise = rng.uniform(-magnitude, magnitude, size=layer.weight.shape)
-        layers.append(Layer(layer.weight + noise, layer.bias.copy(), layer.activation))
-    return FeedforwardGenerator(layers, gen.domain_radius, rank_check=False)
 
 
 # ---------------------------------------------------------------------------

@@ -90,15 +90,6 @@ def prox_subgradient_residual(reg, t, v, x):
     kind = reg.kind
     if kind == "zero":
         return float(np.linalg.norm(g))
-    if kind == "l1":
-        w = reg.weight
-        c = np.zeros_like(x) if reg.center is None else np.asarray(reg.center)
-        y = x - c
-        dist = np.where(
-            y > 0.0, np.abs(g - w),
-            np.where(y < 0.0, np.abs(g + w), np.maximum(np.abs(g) - w, 0.0)),
-        )
-        return float(np.linalg.norm(dist))
     if kind == "linf":
         w = reg.weight
         c = np.zeros_like(x) if reg.center is None else np.asarray(reg.center)
@@ -119,14 +110,6 @@ def prox_subgradient_residual(reg, t, v, x):
             return float(np.linalg.norm(g))
         mu = max(0.0, float(np.dot(g, x - c)) / (r * r))
         return float(np.linalg.norm(g - mu * (x - c)))
-    if kind == "box":
-        lo = np.asarray(reg.lo, dtype=float)
-        hi = np.asarray(reg.hi, dtype=float)
-        dist = np.where(
-            x >= hi, np.maximum(-g, 0.0),
-            np.where(x <= lo, np.maximum(g, 0.0), np.abs(g)),
-        )
-        return float(np.linalg.norm(dist))
     raise ValueError(f"unknown regularizer kind {kind!r}")
 
 

@@ -214,7 +214,10 @@ def test_admm_step_update_order_and_hand_recomputation():
     gen = RecordingGenerator(inner)
     loss = RecordingLoss(rng.standard_normal(8))
     problem = SplitProblem(
-        loss=loss, gen=gen, reg_w=Regularizer.l1(0.3), reg_z=Regularizer.linf(0.2)
+        loss=loss,
+        gen=gen,
+        reg_w=Regularizer.ball(np.zeros(8), 1.0),
+        reg_z=Regularizer.linf(0.2),
     )
     cfg = base_config()
     w0 = rng.standard_normal(8)
@@ -299,7 +302,7 @@ def test_admm_step_prox_certificates():
         loss=QuadraticDenoise(rng.standard_normal(8)),
         gen=gen,
         reg_w=Regularizer.linf(0.4),
-        reg_z=Regularizer.l1(0.15),
+        reg_z=Regularizer.ball(np.zeros(2), 0.25),
     )
     cfg = base_config()
     state = initial_state(problem, cfg, z0=rng.standard_normal(2) * 0.4)
@@ -467,7 +470,7 @@ def test_exact_mode_rejects_nonzero_w_regularizer():
     problem = SplitProblem(
         loss=QuadraticDenoise(np.zeros(8)),
         gen=gen,
-        reg_w=Regularizer.l1(0.1),
+        reg_w=Regularizer.linf(0.1),
         reg_z=Regularizer.zero(),
     )
     cfg = base_config(w_step="exact")

@@ -232,6 +232,20 @@ def test_compare_numerical_error_keeps_finished_and_partial_traces(
     assert sorted(p.name for p in out.iterdir()) == ["admm_trace.csv", "gd_trace.csv"]
 
 
+def test_compare_on_denoise_linf_fails_before_writing(tmp_path, capsys):
+    # no generator file: the kind check must come before the generator loads
+    text = COMPARE.replace("kind = denoise_l2", "kind = denoise_linf")
+    cfg, out = write_config(tmp_path, text), tmp_path / "o"
+    out.mkdir()
+    assert main(["compare", str(cfg), "--out-dir", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and list(out.iterdir()) == []
+    assert captured.err.splitlines() == [
+        "error: config: [problem] kind denoise_linf cannot run eadmm (its exact "
+        "w step needs the zero w-regularizer)"
+    ]
+
+
 # sha256 of the shipped reference runs; solver or writer changes that move a
 # bit of these artifacts must say so and re-pin them
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -334,9 +348,11 @@ def test_estimate_geometry(tmp_path, capsys):
         ("--rho", "0"),
         ("--rho", "-1"),
         ("--rho", "nan"),
+        ("--rho", "inf"),
         ("--nu-loss", "0"),
         ("--nu-loss", "-1"),
         ("--nu-loss", "nan"),
+        ("--nu-loss", "inf"),
     ],
 )
 def test_estimate_geometry_rejects_bad_step_flags(tmp_path, capsys, flag, value):
@@ -391,7 +407,12 @@ def test_plateau_sweep_single_rho(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "extra", [["--rho-values=1,2", "--iters", "0"], ["--rho-values=0,1"]]
+    "extra",
+    [
+        ["--rho-values=1,2", "--iters", "0"],
+        ["--rho-values=0,1"],
+        ["--rho-values=1,2", "--sigma0", "inf"],
+    ],
 )
 def test_plateau_sweep_rejects_bad_input_with_one_line(tmp_path, capsys, extra):
     _, gen_path = write_generator(tmp_path)
@@ -420,6 +441,16 @@ def test_tune_gd(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.count("step=") >= 2
     assert "best_step=" in out
+
+
+def test_tune_gd_rejects_infinite_step_with_one_line(tmp_path, capsys):
+    _, gen_path = write_generator(tmp_path)
+    rc = main(["tune-gd", "--generator", str(gen_path), "--steps", "0.05,inf"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: config:")
 
 
 def test_module_entry_point(tmp_path):

@@ -199,7 +199,9 @@ def test_load_problem(tmp_path):
     path = write_config(tmp_path, BASE)
     cfg = parse_config(path, command="run")
     loaded, inst = load_problem(cfg)
-    assert loaded.layer_sizes == gen.layer_sizes
+    assert [l.weight.shape for l in loaded.layers] == [
+        l.weight.shape for l in gen.layers
+    ]
     assert isinstance(inst.problem.loss, QuadraticDenoise)
     assert inst.seed == 3 and inst.noise_level == 0.1
     assert np.array_equal(inst.w_star, loaded.forward(inst.z_star))
@@ -213,6 +215,25 @@ def test_load_problem_linf(tmp_path):
     assert isinstance(inst.problem.loss, ScaledQuadratic)
     assert inst.problem.loss.gamma == 0.01
     assert inst.problem.reg_w.kind == "linf"
+
+
+def test_denoise_linf_rejects_eadmm_and_compare(tmp_path):
+    write_generator(tmp_path)
+    linf = BASE.replace("kind = denoise_l2", "kind = denoise_linf")
+    eadmm = linf.replace("method = admm", "method = eadmm").replace(
+        "max_iters = 40", "stages = 2\nstage_iters = 3"
+    )
+    both = linf.replace("max_iters = 40", "max_iters = 40\nstages = 2\nstage_iters = 3")
+    for text, command in ((eadmm, "run"), (both, "compare")):
+        with pytest.raises(ConfigError, match="denoise_linf cannot run eadmm"):
+            parse_config(write_config(tmp_path, text), command=command)
+        # the same file parses on the default kind
+        plain = text.replace("kind = denoise_linf", "kind = denoise_l2")
+        parse_config(write_config(tmp_path, plain), command=command)
+    # admm and gd runs on the kind still parse
+    gd = linf.replace("method = admm", "method = gd\nstep = 0.1")
+    for text, method in ((linf, "admm"), (gd, "gd")):
+        assert parse_config(write_config(tmp_path, text), command="run").method == method
 
 
 def test_solver_settings_defaults(tmp_path):

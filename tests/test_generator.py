@@ -13,7 +13,6 @@ from priorsolve.generator import (
     Layer,
     estimate_geometry,
     load_generator,
-    perturb_weights,
     save_generator,
 )
 
@@ -175,10 +174,6 @@ def test_constructor_rejects_rank_deficient_weight():
     w[:, 1] = w[:, 0]
     with pytest.raises(ValueError):
         FeedforwardGenerator([Layer(w, np.zeros(4), act)], domain_radius=1.0)
-    gen = FeedforwardGenerator(
-        [Layer(w, np.zeros(4), act)], domain_radius=1.0, rank_check=False
-    )
-    assert gen.output_dim == 4
 
 
 def test_geometry_orthonormal_columns_is_isometry():
@@ -247,49 +242,6 @@ def test_geometry_remainder_bound_on_fresh_pairs():
         rem = gen.forward(z2) - gen.forward(z1) - gen.jacobian(z1) @ diff
         cap = 0.5 * (1.2 * est.nu_g_hat) * np.linalg.norm(diff) ** 2
         assert np.linalg.norm(rem) <= cap
-
-
-def test_perturb_weights_seeded_and_nondestructive():
-    gen = random_net(40)
-    before = [(l.weight.copy(), l.bias.copy()) for l in gen.layers]
-    pa = perturb_weights(gen, magnitude=0.01, seed=5)
-    pb = perturb_weights(gen, magnitude=0.01, seed=5)
-    pc = perturb_weights(gen, magnitude=0.01, seed=6)
-    for la, lb in zip(pa.layers, pb.layers):
-        np.testing.assert_array_equal(la.weight, lb.weight)
-    assert any(
-        np.abs(la.weight - lc.weight).max() > 0 for la, lc in zip(pa.layers, pc.layers)
-    )
-    for (w0, b0), l1, lp in zip(before, gen.layers, pa.layers):
-        np.testing.assert_array_equal(l1.weight, w0)  # original untouched
-        np.testing.assert_array_equal(lp.bias, b0)  # biases not perturbed
-        assert 0.0 < np.abs(lp.weight - w0).max() <= 0.01
-
-
-def test_perturb_forward_drift_is_small():
-    gen = random_net(41)
-    pert = perturb_weights(gen, magnitude=0.01, seed=8)
-    rng = RNG(4)
-    drift = max(
-        np.abs(gen.forward(z) - pert.forward(z)).max()
-        for z in (uniform_ball_point(rng, 2, 1.0) for _ in range(20))
-    )
-    assert 1e-6 < drift < 0.5
-
-
-def test_perturb_repairs_duplicated_column():
-    w = np.ones((4, 2))
-    w[:, 1] = w[:, 0]
-    gen = FeedforwardGenerator(
-        [Layer(w, np.zeros(4), Activation("identity"))],
-        domain_radius=1.0,
-        rank_check=False,
-    )
-    pert = perturb_weights(gen, magnitude=1e-6, seed=0)
-    s = np.linalg.svd(pert.layers[0].weight, compute_uv=False)
-    assert s[-1] > 0.0
-    # passes the constructor's rank check once perturbed
-    FeedforwardGenerator(pert.layers, domain_radius=1.0)
 
 
 def test_generator_file_round_trip(tmp_path):

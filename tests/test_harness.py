@@ -85,7 +85,7 @@ def test_denoise_linf_shape():
     assert loss.gamma == 0.01
     assert inst.problem.reg_w.kind == "linf"
     assert inst.problem.reg_w.weight == 1.0
-    # the box penalty is anchored at the observed point
+    # the sup-norm penalty is anchored at the observed point
     assert np.array_equal(inst.problem.reg_w.center, loss.target)
 
 

@@ -57,7 +57,7 @@ def generators(draw):
         )
         for cin, cout in zip(widths, widths[1:])
     ]
-    return FeedforwardGenerator(layers, domain_radius=3.0, rank_check=False)
+    return FeedforwardGenerator(layers, domain_radius=3.0)
 
 
 def vectors(draw, size):

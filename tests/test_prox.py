@@ -8,47 +8,33 @@ from priorsolve.prox import Regularizer, project_l1_ball
 
 RNG = np.random.default_rng
 
-ALL_KINDS = ("zero", "l1", "linf", "ball", "box")
+ALL_KINDS = ("zero", "linf", "ball")
 
 
 def random_regularizer(rng, kind, dim):
     if kind == "zero":
         return Regularizer.zero()
-    if kind == "l1":
-        return Regularizer.l1(rng.uniform(0.2, 3.0))
     if kind == "linf":
         return Regularizer.linf(rng.uniform(0.2, 3.0))
-    if kind == "ball":
-        return Regularizer.ball(rng.standard_normal(dim), rng.uniform(0.5, 2.0))
-    return Regularizer.box(-rng.uniform(0.5, 2.0, dim), rng.uniform(0.5, 2.0, dim))
+    return Regularizer.ball(rng.standard_normal(dim), rng.uniform(0.5, 2.0))
 
 
 def test_evaluate_reference_values():
     x = np.array([1.0, -3.0])
     assert Regularizer.zero().evaluate(x) == 0.0
-    assert Regularizer.l1(2.0).evaluate(x) == 8.0
     assert Regularizer.linf(0.5).evaluate(x) == 1.5
-    assert Regularizer.l1(1.0, center=np.array([1.0, -1.0])).evaluate(x) == 2.0
     ball = Regularizer.ball(np.zeros(2), np.sqrt(10.0))
     assert ball.evaluate(x) == 0.0
     assert ball.evaluate(1.001 * x) == np.inf
     # membership tolerance 1e-12 on the indicator boundary
     assert ball.evaluate((1.0 + 1e-13) * x) == 0.0
-    box = Regularizer.box(np.array([0.0, -4.0]), np.array([2.0, 0.0]))
-    assert box.evaluate(x) == 0.0
-    assert box.evaluate(np.array([2.0 + 1e-13, -4.0])) == 0.0
-    assert box.evaluate(np.array([3.0, 0.0])) == np.inf
 
 
 def test_parameter_validation():
     with pytest.raises(ValueError):
-        Regularizer.l1(0.0)
-    with pytest.raises(ValueError):
         Regularizer.linf(-1.0)
     with pytest.raises(ValueError):
         Regularizer.ball(np.zeros(2), 0.0)
-    with pytest.raises(ValueError):
-        Regularizer.box(np.array([1.0]), np.array([0.0]))
     with pytest.raises(ValueError):
         Regularizer.zero().prox(np.zeros(2), 0.0)
 
@@ -62,20 +48,6 @@ def test_prox_zero_returns_a_float_array():
     out = Regularizer.zero().prox([1, 2], 0.5)
     assert isinstance(out, np.ndarray) and out.dtype == np.float64
     np.testing.assert_array_equal(out, [1.0, 2.0])
-
-
-def test_prox_l1_soft_threshold_frozen():
-    got = Regularizer.l1(1.0).prox(np.array([2.0, -0.3, 0.0]), 0.5)
-    np.testing.assert_allclose(got, [1.5, 0.0, 0.0], rtol=0, atol=0)
-
-
-def test_prox_l1_shifted_translates():
-    rng = RNG(0)
-    c = rng.standard_normal(4)
-    reg = Regularizer.l1(0.8, center=c)
-    v = rng.standard_normal(4)
-    base = Regularizer.l1(0.8).prox(v - c, 0.6)
-    np.testing.assert_allclose(reg.prox(v, 0.6), c + base, rtol=0, atol=0)
 
 
 def test_project_l1_ball_frozen_cases():
@@ -127,16 +99,11 @@ def test_prox_indicator_projections():
     np.testing.assert_allclose(got, [3.0, 0.0], atol=1e-14)
     inside = np.array([1.5, 0.5])
     np.testing.assert_array_equal(ball.prox(inside, 1.0), inside)
-    box = Regularizer.box(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
-    np.testing.assert_array_equal(
-        box.prox(np.array([2.0, -0.5]), 5.0), np.array([1.0, -0.5])
-    )
 
 
 def test_prox_fixed_points():
     rng = RNG(3)
     c = rng.standard_normal(5)
-    assert np.array_equal(Regularizer.l1(1.0, center=c).prox(c, 0.5), c)
     assert np.array_equal(Regularizer.linf(1.0, center=c).prox(c, 0.5), c)
 
 
