@@ -35,11 +35,12 @@ stage boundaries and using the exact w minimizer throughout.
 
 aug_lagrangian, grad_w_lagrangian, grad_z_lagrangian and dual_update state
 these formulas once, on values an iteration already holds and row by row on
-(B, d) stacks; admm_step, the lockstep sweep in harness (through the
-unchecked _dual_step) and gd_admm_step_gap call them.  Closed-form w steps
-live on the losses (w_minimizer).  One run loop, _drive, steps run, each
-run_multiscale stage and gd.run_gd, and owns the clock, the observer, the
-stop test and the partial trace a NonFiniteError carries.
+(B, d) stacks; admm_step, the lockstep sweep in harness and
+gd_admm_step_gap call them.  Closed-form w steps live on the losses
+(w_minimizer); admm_step and the sweep reach them through exact_w_min.  One
+run loop, _drive, steps run, each run_multiscale stage and gd.run_gd, and
+owns the clock, the observer, the stop test and the partial trace a
+NonFiniteError carries.
 
 Finiteness is tested on scalars a step holds anyway: ||z_{t+1} - z_t||^2 for z,
 ||w_{t+1} - w_t||^2 for w and the Lagrangian (through <lambda, r>) for lambda.
@@ -211,18 +212,13 @@ def dual_step_size(sigma0, feas_gap, t):
 
     A vanishing denominator (tiny gap) falls back to sigma0; either way the
     dual increment sigma * gap never exceeds sigma0 / (t ln^2(t+1)).
-    feas_gap may be an array of per-row gaps, giving one step per row.
+    feas_gap may be an array of per-row gaps, giving one step per row; it is
+    a norm the caller just computed, so its sign is not checked.
     """
     if sigma0 <= 0.0:
         raise ValueError("sigma0 must be strictly positive")
     if t < 1:
         raise ValueError("iteration counter t is 1-based")
-    if _any(feas_gap < 0.0):
-        raise ValueError("feasibility gap cannot be negative")
-    return _dual_step(sigma0, feas_gap, t)
-
-
-def _dual_step(sigma0, feas_gap, t):  # dual_step_size without the checks
     denom = feas_gap * t * math.log(t + 1.0) ** 2
     # sigma0 / max(1, denom) == min(sigma0, sigma0 / denom), without dividing
     # by a vanishing denom
@@ -241,9 +237,8 @@ def dual_update(sigma0, lam, resid, gap, t):
 def exact_w_min(loss, gz, lam, rho):
     """Closed-form argmin_w AL(w, z, lam) given gz = G(z), from the loss's
     own w_minimizer; rho may be a (B, 1) column for a loss that takes a
-    (B, d) stack.  Raises UnsupportedLossError for a loss without one."""
-    if _any(rho <= 0.0):
-        raise ValueError("rho must be strictly positive")
+    (B, d) stack (AdmmConfig and plateau_vs_rho check rho where it enters).
+    Raises UnsupportedLossError for a loss without one."""
     return loss.w_minimizer(
         np.asarray(gz, dtype=float), np.asarray(lam, dtype=float), rho
     )
@@ -256,13 +251,6 @@ def stopping_metric(dz, dw, alpha, beta, sigma_prev, gap_prev):
         + float(np.dot(dw, dw)) / beta
         + sigma_prev * gap_prev**2
     )
-
-
-def _any(mask):
-    """True when a boolean scalar, or any entry of a boolean array, is set.
-    Scalars skip numpy's reduction, which costs microseconds per call in the
-    per-step argument checks."""
-    return mask.any() if isinstance(mask, np.ndarray) else mask
 
 
 def _ensure_finite(guard, value, name, iteration):
@@ -386,8 +374,11 @@ def _drive(step, state, max_iters, tol, trace, t0, observer=None):
 def run(problem, cfg, state, planted=None, observer=None):
     """Iterate until the stopping metric drops to tau_c or max_iters is
     spent; returns (final_state, trace).  max_iters = 0 returns the initial
-    state with an empty trace.  On divergence the NonFiniteError carries the
+    state with an empty trace.  A config with a multiscale schedule runs
+    run_multiscale instead.  On divergence the NonFiniteError carries the
     partial trace."""
+    if cfg.multiscale is not None:
+        return run_multiscale(problem, cfg, state, planted, observer)
     _check_exact_mode(problem, cfg)
     trace = RunTrace()
     state, _ = _drive(

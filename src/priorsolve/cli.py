@@ -35,16 +35,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .admm import (
-    NonFiniteError,
-    initial_state,
-    run,
-    run_multiscale,
-    suggest_step_sizes,
-)
+from .admm import NonFiniteError, initial_state, run, suggest_step_sizes
 from .config import (
     ConfigError,
-    gd_settings,
     load_problem,
     open_generator,
     parse_config,
@@ -72,7 +65,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _finite_float(raw):
-    value = float(raw)
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"{raw!r} is not a finite number")
     return value
@@ -83,7 +79,12 @@ def _float_list(raw):
 
 
 def _int_list(raw):
-    return tuple(int(x) for x in raw.split(","))
+    try:
+        return tuple(int(x) for x in raw.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{raw!r} is not a comma-separated list of integers"
+        ) from None
 
 
 def _fmt(value):
@@ -118,23 +119,19 @@ def _print_result(algo, trace):
 
 def _solve(method, settings, gen, inst, trace_path, zero_wall, geometry=None):
     """Run one method from z = 0 and write its trace to trace_path (None
-    writes nothing).  A missing gd step falls back to the admm z step size
-    (compare); geometry, the result of step_geometry, spares re-estimating
-    it per method.  On a numerical failure the rows the run completed are
-    written before the error propagates."""
+    writes nothing).  The solver config, including the gd step fallback,
+    comes from config.solver_settings; geometry, the result of
+    step_geometry, spares re-estimating it per method.  On a numerical
+    failure the rows the run completed are written before the error
+    propagates."""
     z0 = np.zeros(gen.input_dim)
+    cfg = solver_settings(settings, gen, inst, method, geometry)
     try:
         if method == "gd":
-            beta = None
-            if settings.step is None:
-                beta = solver_settings(settings, gen, inst, "admm", geometry).beta
-            cfg = gd_settings(settings, fallback_step=beta)
             _, trace = run_gd(inst.problem.loss, gen, cfg, z0, planted=inst.planted)
         else:
-            cfg = solver_settings(settings, gen, inst, method, geometry)
             state = initial_state(inst.problem, cfg, z0)
-            driver = run_multiscale if cfg.multiscale is not None else run
-            _, trace = driver(inst.problem, cfg, state, planted=inst.planted)
+            _, trace = run(inst.problem, cfg, state, planted=inst.planted)
     except NonFiniteError as exc:  # the run loop attached the rows it completed
         if trace_path is not None:
             write_trace_csv(exc.trace, trace_path, zero_wall=zero_wall)

@@ -62,13 +62,20 @@ __all__ = [
     "load_problem",
     "step_geometry",
     "solver_settings",
-    "gd_settings",
 ]
 
 METHODS = ("gd", "admm", "eadmm")
 
 _LINF_KEYS = ("gamma", "linf_weight")
 _CS_KEYS = ("measurement_ratio",)
+
+# [algorithm] keys that must be given, by command (compare) or method (run)
+_REQUIRED = {
+    "compare": ("rho", "max_iters", "stages", "stage_iters"),
+    "gd": ("step", "max_iters"),
+    "admm": ("rho", "max_iters"),
+    "eadmm": ("rho", "stages", "stage_iters"),
+}
 
 
 class ConfigError(Exception):
@@ -118,7 +125,7 @@ class _Section:
         self.name = name
         self.left = dict(mapping)
 
-    def take(self, key, conv, default=None, required=False):
+    def take(self, key, conv, default=None, required=False, positive=False):
         if key not in self.left:
             if required:
                 raise ConfigError(f"[{self.name}] is missing required key {key!r}")
@@ -130,6 +137,8 @@ class _Section:
             raise ConfigError(f"[{self.name}] {key}: cannot parse {raw!r}") from None
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"[{self.name}] {key} must be finite")
+        if positive and not value > 0:
+            raise ConfigError(f"[{self.name}] {key} must be strictly positive")
         return value
 
     def has(self, key):
@@ -139,12 +148,6 @@ class _Section:
         if self.left:
             names = ", ".join(sorted(self.left))
             raise ConfigError(f"[{self.name}] has unknown keys: {names}")
-
-
-def _positive(section, key, value):
-    if value is not None and not value > 0:
-        raise ConfigError(f"[{section}] {key} must be strictly positive")
-    return value
 
 
 def parse_config(path, command="run"):
@@ -188,10 +191,8 @@ def parse_config(path, command="run"):
     ratio = problem.take("measurement_ratio", float, default=0.5)
     if not 0.0 < ratio <= 1.0:
         raise ConfigError("[problem] measurement_ratio must lie in (0, 1]")
-    gamma = _positive("problem", "gamma", problem.take("gamma", float, default=0.01))
-    linf_weight = _positive(
-        "problem", "linf_weight", problem.take("linf_weight", float, default=1.0)
-    )
+    gamma = problem.take("gamma", float, default=0.01, positive=True)
+    linf_weight = problem.take("linf_weight", float, default=1.0, positive=True)
     problem.finish()
 
     generator = _Section("generator", parser["generator"])
@@ -204,49 +205,31 @@ def parse_config(path, command="run"):
     method = algo.take("method", str, required=(command == "run"))
     if method is not None and method not in METHODS:
         raise ConfigError(f"[algorithm] unknown method {method!r}")
-    rho = _positive("algorithm", "rho", algo.take("rho", float))
-    alpha = _positive("algorithm", "alpha", algo.take("alpha", float))
-    beta = _positive("algorithm", "beta", algo.take("beta", float))
-    sigma0 = _positive("algorithm", "sigma0", algo.take("sigma0", float, default=0.2))
-    tau_c = _positive("algorithm", "tau_c", algo.take("tau_c", float, default=1e-12))
-    max_iters = _positive("algorithm", "max_iters", algo.take("max_iters", int))
+    rho = algo.take("rho", float, positive=True)
+    alpha = algo.take("alpha", float, positive=True)
+    beta = algo.take("beta", float, positive=True)
+    sigma0 = algo.take("sigma0", float, default=0.2, positive=True)
+    tau_c = algo.take("tau_c", float, default=1e-12, positive=True)
+    max_iters = algo.take("max_iters", int, positive=True)
     pairs = algo.take("geometry_pairs", int, default=2000)
     if pairs < 2:
         raise ConfigError("[algorithm] geometry_pairs must be at least 2")
-    stages = _positive("algorithm", "stages", algo.take("stages", int))
-    stage_iters = _positive(
-        "algorithm", "stage_iters", algo.take("stage_iters", int)
-    )
-    step = _positive("algorithm", "step", algo.take("step", float))
-    grad_tol = _positive(
-        "algorithm", "grad_tol", algo.take("grad_tol", float, default=1e-9)
-    )
+    stages = algo.take("stages", int, positive=True)
+    stage_iters = algo.take("stage_iters", int, positive=True)
+    step = algo.take("step", float, positive=True)
+    grad_tol = algo.take("grad_tol", float, default=1e-9, positive=True)
     algo.finish()
 
-    def need(value, key):
-        if value is None:
+    plan = "compare" if command == "compare" else method
+    given = {"rho": rho, "max_iters": max_iters, "stages": stages,
+             "stage_iters": stage_iters, "step": step}
+    for key in _REQUIRED[plan]:
+        if given[key] is None:
             raise ConfigError(f"[algorithm] {key} is required here")
-        return value
-
-    if command == "compare":
-        need(rho, "rho")
-        need(max_iters, "max_iters")
-        need(stages, "stages")
-        need(stage_iters, "stage_iters")
-    elif method == "gd":
-        need(step, "step")
-        need(max_iters, "max_iters")
-    elif method == "admm":
-        need(rho, "rho")
-        need(max_iters, "max_iters")
-    else:  # eadmm
-        need(rho, "rho")
-        need(stages, "stages")
-        need(stage_iters, "stage_iters")
-        if max_iters is not None:
-            raise ConfigError(
-                "[algorithm] max_iters is derived from the stage plan for eadmm"
-            )
+    if plan == "eadmm" and max_iters is not None:
+        raise ConfigError(
+            "[algorithm] max_iters is derived from the stage plan for eadmm"
+        )
     if kind == "denoise_linf" and (command == "compare" or method == "eadmm"):
         raise ConfigError(
             "[problem] kind denoise_linf cannot run eadmm (its exact w step "
@@ -326,17 +309,26 @@ def step_geometry(settings, gen):
 
 
 def solver_settings(settings, gen, inst, method=None, geometry=None):
-    """AdmmConfig for the splitting solvers, filling omitted step sizes.
+    """Solver config for one method, filling omitted step sizes: GdConfig
+    for gd, AdmmConfig for the splitting solvers.
 
-    method overrides settings.method (compare needs configs for both
-    splitting variants from one file).  Suggested steps use the loss
-    smoothness for alpha and estimated geometry for beta; geometry, the
-    result of step_geometry, spares a second estimate when one file yields
-    several configs.
+    method overrides settings.method (compare needs a config for every
+    method from one file).  Suggested steps use the loss smoothness for
+    alpha and estimated geometry for beta, and a missing gd step falls back
+    to that admm beta, so compare's baselines are matched first-order
+    methods; geometry, the result of step_geometry, spares a second
+    estimate when one file yields several configs.
     """
     method = settings.method if method is None else method
-    if method not in ("admm", "eadmm"):
-        raise ValueError(f"not a splitting method: {method!r}")
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    if method == "gd":
+        step = settings.step
+        if step is None:
+            step = solver_settings(settings, gen, inst, "admm", geometry).beta
+        return GdConfig(
+            step=step, max_iters=settings.max_iters, grad_tol=settings.grad_tol
+        )
     alpha, beta = settings.alpha, settings.beta
     if alpha is None or beta is None:
         est = step_geometry(settings, gen) if geometry is None else geometry
@@ -360,15 +352,4 @@ def solver_settings(settings, gen, inst, method=None, geometry=None):
         max_iters=max_iters,
         w_step="linearized" if schedule is None else "exact",
         multiscale=schedule,
-    )
-
-
-def gd_settings(settings, fallback_step=None):
-    """GdConfig for the baseline; a missing step falls back to the matched
-    splitting z step size (compare)."""
-    step = settings.step if settings.step is not None else fallback_step
-    if step is None:
-        raise ValueError("no gd step size available")
-    return GdConfig(
-        step=step, max_iters=settings.max_iters, grad_tol=settings.grad_tol
     )

@@ -31,6 +31,8 @@ over seeds.  Its rho x seed solves are independent and identical in shape,
 so they run in lockstep as one batch: every iterate is a (B, d) array with
 one row per solve and rho and beta are per-row columns, so an iteration
 costs one batched generator pass and one batched VJP instead of B of each.
+Its w step, dual update and beta are admm's exact_w_min, dual_update and
+suggest_step_sizes, as in admm_step and the config.
 Finiteness is tested as in admm_step, on the sum of z_{t+1} for z and on the
 sum of the row Lagrangians for w and lambda.
 """
@@ -40,8 +42,8 @@ import math
 
 import numpy as np
 
-from .admm import SplitProblem, _dual_step, _ensure_finite, aug_lagrangian
-from .admm import grad_z_lagrangian
+from .admm import SplitProblem, _ensure_finite, aug_lagrangian, dual_update
+from .admm import exact_w_min, grad_z_lagrangian, suggest_step_sizes
 from .generator import estimate_geometry
 from .losses import LeastSquares, QuadraticDenoise, ScaledQuadratic
 from .prox import Regularizer
@@ -291,7 +293,10 @@ def plateau_vs_rho(
     loss = QuadraticDenoise(np.tile(targets, tiles))
     w_star = np.tile([inst.w_star for inst in insts], tiles)
     rho = np.repeat(rho_values, len(seeds))
-    beta = 1.0 / (rho * est.kappa_hat**2)  # matches suggest_step_sizes
+    beta = np.repeat(
+        [suggest_step_sizes(loss, est.kappa_hat, r)[1] for r in rho_values],
+        len(seeds),
+    )
     if not np.all(beta > 0.0):
         raise ValueError("rho too large: beta = 1/(rho kappa_hat^2) underflows")
     rho_col, beta_col = rho[:, None], beta[:, None]
@@ -309,11 +314,10 @@ def plateau_vs_rho(
         _ensure_finite(z.sum(), z, "z", t)
         tape = gen.forward(z, return_tape=True)
         gz = tape.output
-        # exact_w_min and dual_update would re-check arguments checked above
-        w = loss.w_minimizer(gz, lam, rho_col)
+        w = exact_w_min(loss, gz, lam, rho_col)
         resid = w - gz
         gap = np.linalg.norm(resid, axis=1, keepdims=True)
-        lam = lam + _dual_step(sigma0, gap, t) * resid
+        _, lam = dual_update(sigma0, lam, resid, gap, t)
         lagrangian = aug_lagrangian(loss.value(w), lam, resid, gap[:, 0], rho)
         guard = lagrangian.sum()
         _ensure_finite(guard, w, "w", t)

@@ -1,5 +1,6 @@
 """ADMM solver core: hand-computed oracles, update order, schedules."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -550,6 +551,29 @@ def test_multiscale_equals_manually_stitched_stages():
     assert trace.stages[0].alpha == 0.15 and trace.stages[1].alpha == 0.075
     assert trace.stages[0].first_t == 1 and trace.stages[0].last_t == 10
     assert trace.stages[1].first_t == 11 and trace.stages[1].last_t == 30
+
+
+def test_run_hands_a_multiscale_config_to_run_multiscale():
+    gen = random_net(24, kinds=("elu", "tanh"))
+    target = gen.forward(np.array([0.25, -0.3])) + 0.08
+    problem = quad_problem(gen, target)
+    cfg = base_config(
+        rho=0.4, alpha=0.3, beta=0.15, sigma0=0.5, tau_c=1e-30, max_iters=999,
+        w_step="exact", multiscale=MultiscaleSchedule(stages=2, base_iters=5),
+    )
+    z0 = np.array([0.7, 0.2])
+    final, trace = run(problem, cfg, initial_state(problem, cfg, z0=z0))
+    ref_final, ref = run_multiscale(problem, cfg, initial_state(problem, cfg, z0=z0))
+
+    def unclocked(records):
+        return [dataclasses.replace(r, wall_ns=0) for r in records]
+
+    assert len(trace) == 5 * 2 + 5 * 4
+    assert unclocked(trace.records) == unclocked(ref.records)
+    assert trace.stages == ref.stages and len(trace.stages) == 2
+    np.testing.assert_array_equal(final.w, ref_final.w)
+    np.testing.assert_array_equal(final.lam, ref_final.lam)
+    assert final.t == ref_final.t == 31
 
 
 class OverflowingLoss(QuadraticDenoise):

@@ -281,6 +281,29 @@ def test_reference_plateau_sweep_artifact_is_pinned(tmp_path, capsys):
     assert sha256(out) == REFERENCE_SWEEP_SHA256
 
 
+@pytest.mark.parametrize("method", ["gd", "admm", "eadmm"])
+def test_run_writes_the_pinned_compare_trace(tmp_path, capsys, method):
+    # run and compare share one solve-and-write path, so `run` on the
+    # reference config writes compare's trace bytes for the same method
+    text = (CONFIGS / "reference.ini").read_text()
+    edits = [
+        ("method = admm", f"method = {method}"),
+        ("file = reference_generator.json",
+         f"file = {CONFIGS / 'reference_generator.json'}"),
+        ("trace_file = reference_trace.csv",
+         f"trace_file = {tmp_path / 'trace.csv'}\nzero_wall = true"),
+    ]
+    if method == "eadmm":  # eadmm derives max_iters from the stage plan
+        edits.append(("max_iters = 3000\n", ""))
+    for old, new in edits:
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    assert main(["run", str(write_config(tmp_path, text))]) == 0
+    assert sha256(tmp_path / "trace.csv") == REFERENCE_COMPARE_SHA256[
+        f"{method}_trace.csv"
+    ]
+
+
 @pytest.mark.parametrize(
     "section, key, value",
     [
@@ -353,6 +376,8 @@ def test_estimate_geometry(tmp_path, capsys):
         ("--nu-loss", "-1"),
         ("--nu-loss", "nan"),
         ("--nu-loss", "inf"),
+        ("--rho", "abc"),
+        ("--nu-loss", "abc"),
     ],
 )
 def test_estimate_geometry_rejects_bad_step_flags(tmp_path, capsys, flag, value):
@@ -363,6 +388,7 @@ def test_estimate_geometry_rejects_bad_step_flags(tmp_path, capsys, flag, value)
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: config:")
+    assert "invalid _" not in lines[0]  # no private type name
 
 
 def test_estimate_geometry_missing_file(tmp_path, capsys):
@@ -412,6 +438,8 @@ def test_plateau_sweep_single_rho(tmp_path, capsys):
         ["--rho-values=1,2", "--iters", "0"],
         ["--rho-values=0,1"],
         ["--rho-values=1,2", "--sigma0", "inf"],
+        ["--rho-values=1,x"],
+        ["--rho-values=1,2", "--seeds", "0,x"],
     ],
 )
 def test_plateau_sweep_rejects_bad_input_with_one_line(tmp_path, capsys, extra):
@@ -422,6 +450,7 @@ def test_plateau_sweep_rejects_bad_input_with_one_line(tmp_path, capsys, extra):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: config:")
+    assert "invalid _" not in lines[0]  # no private type name
 
 
 def test_tune_gd(tmp_path, capsys):

@@ -16,6 +16,7 @@ from oracles import geometry_pairs, serial_geometry
 from priorsolve.admm import (
     aug_lagrangian,
     dual_update,
+    exact_w_min,
     grad_w_lagrangian,
     grad_z_lagrangian,
 )
@@ -124,8 +125,9 @@ def test_jvp_matches_dense_jacobian(data):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_batched_lagrangian_formulas_match_single_rows(data):
-    # the lockstep sweep and admm_step share these helpers; rho and the gap
-    # are per-row columns in the batch and scalars for a single row
+    # the lockstep sweep and admm_step share these helpers (the sweep's w
+    # step too); rho and the gap are per-row columns in the batch and
+    # scalars for a single row
     gen = data.draw(generators())
     rows = data.draw(st.integers(1, 5))
     z = arrays(data.draw, gen.input_dim, rows)
@@ -138,6 +140,7 @@ def test_batched_lagrangian_formulas_match_single_rows(data):
     )))[:, None]
     sigma0 = data.draw(st.floats(1e-3, 10.0))
     t = data.draw(st.integers(1, 10_000))
+    target = arrays(data.draw, gen.output_dim, rows)
 
     tape = gen.forward(z, return_tape=True)
     resid = w - tape.output
@@ -146,6 +149,7 @@ def test_batched_lagrangian_formulas_match_single_rows(data):
     grad_w = grad_w_lagrangian(loss_grad, lam, resid, rho)
     value = aug_lagrangian(loss_value, lam, resid, gap[:, 0], rho[:, 0])
     sigma, lam_new = dual_update(sigma0, lam, resid, gap, t)
+    w_min = exact_w_min(QuadraticDenoise(target), tape.output, lam, rho)
     assert value.shape == (rows,) and sigma.shape == (rows, 1)
     close = dict(rtol=1e-12, atol=1e-12)
     for b in range(rows):
@@ -165,6 +169,11 @@ def test_batched_lagrangian_formulas_match_single_rows(data):
         sigma_b, lam_b = dual_update(sigma0, lam[b], resid[b], gap_b, t)
         np.testing.assert_allclose(sigma[b, 0], sigma_b, **close)
         np.testing.assert_allclose(lam_new[b], lam_b, **close)
+        np.testing.assert_allclose(
+            w_min[b],
+            exact_w_min(QuadraticDenoise(target[b]), tape_b.output, lam[b], rho_b),
+            **close,
+        )
 
 
 @settings(max_examples=30, deadline=None)
