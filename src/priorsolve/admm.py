@@ -244,13 +244,10 @@ def exact_w_min(loss, gz, lam, rho):
     )
 
 
-def stopping_metric(dz, dw, alpha, beta, sigma_prev, gap_prev):
-    """||dz||^2 / alpha + ||dw||^2 / beta + sigma_prev * gap_prev^2."""
-    return (
-        float(np.dot(dz, dz)) / alpha
-        + float(np.dot(dw, dw)) / beta
-        + sigma_prev * gap_prev**2
-    )
+def stopping_metric(dz_sq, dw_sq, alpha, beta, sigma_prev, gap_prev):
+    """dz_sq / alpha + dw_sq / beta + sigma_prev * gap_prev^2, from the
+    squared step norms dz_sq = ||dz||^2 and dw_sq = ||dw||^2."""
+    return dz_sq / alpha + dw_sq / beta + sigma_prev * gap_prev**2
 
 
 def _ensure_finite(guard, value, name, iteration):
@@ -292,7 +289,7 @@ def admm_step(problem, cfg, state, planted=None):
         z - cfg.beta * grad_z_lagrangian(gen, tape, lam, resid, rho), cfg.beta
     )
     dz = z_new - z
-    dz_sq = dz.dot(dz)
+    dz_sq = float(dz.dot(dz))
     _ensure_finite(dz_sq, z_new, "z", state.t)
     tape_new = gen.forward(z_new, return_tape=True)
     gz_new = tape_new.output
@@ -304,7 +301,7 @@ def admm_step(problem, cfg, state, planted=None):
         g = grad_w_lagrangian(grad_w, lam, w - gz_new, rho)
         w_new = problem.reg_w.prox(w - cfg.alpha * g, cfg.alpha)
     dw = w_new - w
-    dw_sq = dw.dot(dw)
+    dw_sq = float(dw.dot(dw))
     _ensure_finite(dw_sq, w_new, "w", state.t)
 
     resid_new = w_new - gz_new
@@ -316,7 +313,7 @@ def admm_step(problem, cfg, state, planted=None):
     else:
         loss_new, grad_new = loss.value_and_grad(w_new)
         w_grad_new = (w_new, grad_new)
-    lagrangian = aug_lagrangian(loss_new, lam_new, resid_new, gap_new, rho)
+    lagrangian = float(aug_lagrangian(loss_new, lam_new, resid_new, gap_new, rho))
     _ensure_finite(lagrangian, lam_new, "lambda", state.t)
     _ensure_finite(lagrangian, lagrangian, "lagrangian", state.t)
 
@@ -337,8 +334,7 @@ def admm_step(problem, cfg, state, planted=None):
         step_w=math.sqrt(dw_sq),
         step_z=math.sqrt(dz_sq),
         stop_metric=stopping_metric(
-            dz=dz, dw=dw, alpha=cfg.alpha, beta=cfg.beta,
-            sigma_prev=state.sigma, gap_prev=gap,
+            dz_sq, dw_sq, cfg.alpha, cfg.beta, state.sigma, gap
         ),
         dist_w=dist_w,
         dist_z=dist_z,

@@ -39,8 +39,12 @@ that is not finite (nan, inf).
 `compare` runs all three solvers from one file, so it ignores method (the
 key may still be present), requires rho, max_iters, stages and stage_iters,
 and fills a missing gd step with the splitting solver's z step size so the
-baselines are matched first-order methods.  Kind denoise_linf rejects eadmm
-and `compare`: the exact w step needs the zero w-regularizer.
+baselines are matched first-order methods.  That beta = 1/(rho kappa_hat^2)
+is not a stable gd step once rho drops below about nu_L / 2 (gd needs less
+than about 2 / (nu_L kappa_hat^2)): configs/reference.ini without its step
+(rho = 0.1, beta = 4.56) makes gd diverge, and `compare` exits 2 at
+iteration 344.  Kind denoise_linf rejects eadmm and `compare`: the exact w
+step needs the zero w-regularizer.
 """
 
 import configparser

@@ -11,9 +11,10 @@ derivatives, sampled estimates of the near-isometry constants
 
 and of the strong-smoothness constant nu bounding the linearization
 remainder ||G(z') - G(z) - DG(z)(z' - z)|| <= (nu / 2) * ||z' - z||^2,
-plus a JSON description format.  A geometry estimate draws its pairs one at
-a time but evaluates them together: one batched forward pass over every
-sampled point and one batched JVP.
+plus a JSON description format.  A geometry estimate draws its points one
+at a time (only the random draws and each radial scalar), then scales them,
+takes the pair distances, runs one batched forward pass and one batched JVP
+over all of them at once.
 """
 
 import json
@@ -76,7 +77,8 @@ class Activation:
         if self.kind == "identity":
             return x.copy()
         if self.kind == "elu":
-            return np.where(x > 0.0, x, self.elu_alpha * np.expm1(np.minimum(x, 0.0)))
+            neg, a = np.expm1(np.minimum(x, 0.0)), self.elu_alpha
+            return np.where(x > 0.0, x, neg if a == 1.0 else a * neg)  # 1 * neg is neg
         if self.kind == "softplus":
             return np.logaddexp(0.0, x)
         if self.kind == "tanh":
@@ -287,42 +289,54 @@ def _norm(v):
     return math.sqrt(v.dot(v))
 
 
+def _draw_pairs(normal, uniform, dim, radius, count):
+    """count candidate pairs from the stream, shape (count, 2, dim), and
+    their distances.  The loop keeps only the draws and each point's radial
+    scalar; normalizing and scaling (in one point's order of roundings) and
+    the distances run once over all points."""
+    pairs, scale = np.empty((count, 2, dim)), np.empty(2 * count)
+    root, sqrt = 1.0 / dim, math.sqrt
+    # stream order: z1 then z2 of pair 0, then of pair 1, ...
+    for k, v in enumerate(pairs.reshape(-1, dim)):
+        normal(out=v)
+        while sqrt(v.dot(v)) < 1e-30:  # _norm(v), inlined
+            normal(out=v)
+        scale[k] = radius * uniform() ** root
+    pairs /= np.sqrt(np.vecdot(pairs, pairs))[..., None]
+    pairs *= scale.reshape(count, 2, 1)
+    diff = pairs[:, 1] - pairs[:, 0]
+    return pairs, np.sqrt(np.vecdot(diff, diff))
+
+
 def estimate_geometry(gen, n_pairs, seed):
     """Estimate (iota, kappa, nu) from seeded pairs in the domain ball.
 
     Pairs are drawn sequentially from one generator stream, so estimates
     with a larger n_pairs and the same seed extend the smaller sample and
-    are monotone in it.  Degenerate pairs (distance below 1e-12) are
-    redrawn.  All 2 n_pairs points are then evaluated by one batched
+    are monotone in it.  Degenerate pairs (distance below
+    DEGENERATE_PAIR_TOL) are dropped and more are drawn until n_pairs
+    remain; a ball too small to hold a non-degenerate pair raises
+    ValueError.  All 2 n_pairs points are then evaluated by one batched
     forward pass, and the linearizations DG(z1)(z2 - z1) by one batched JVP
     on the z1 rows of its tape; no Jacobian is formed.
     """
     if n_pairs < 1:
         raise ValueError("n_pairs must be at least 1")
-    rng = np.random.default_rng(seed)
     dim, radius = gen.input_dim, gen.domain_radius
+    if 2.0 * radius <= DEGENERATE_PAIR_TOL:
+        raise ValueError(f"domain_radius {radius!r} holds no non-degenerate pair")
+    rng = np.random.default_rng(seed)
     # rng.random() is the draw that rng.uniform() scales by 1 and shifts by 0
-    normal, uniform, root = rng.standard_normal, rng.random, 1.0 / dim
-
-    def ball_point():
-        g = normal(dim)
-        norm = _norm(g)
-        while norm < 1e-30:
-            g = normal(dim)
-            norm = _norm(g)
-        return radius * (uniform() ** root) * (g / norm)
-
+    draw = (rng.standard_normal, rng.random, dim, radius)
+    pairs, dists = _draw_pairs(*draw, n_pairs)
+    while not (keep := dists >= DEGENERATE_PAIR_TOL).all():
+        # degenerate pairs are dropped and replaced from the stream, so the
+        # kept pairs are its first n_pairs non-degenerate ones
+        more, more_dists = _draw_pairs(*draw, n_pairs - int(keep.sum()))
+        pairs = np.concatenate((pairs[keep], more))
+        dists = np.concatenate((dists[keep], more_dists))
     # rows [0, n) hold z1 and rows [n, 2n) hold z2 of the same pair
-    points = np.empty((2 * n_pairs, dim))
-    dists = np.empty(n_pairs)
-    for i in range(n_pairs):
-        while True:
-            z1 = ball_point()
-            z2 = ball_point()
-            dist = _norm(z2 - z1)
-            if dist >= DEGENERATE_PAIR_TOL:
-                break
-        points[i], points[n_pairs + i], dists[i] = z1, z2, dist
+    points = np.concatenate((pairs[:, 0], pairs[:, 1]))
     tape = gen.forward(points, return_tape=True)
     out = tape.output
     dg = out[n_pairs:] - out[:n_pairs]

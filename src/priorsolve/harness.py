@@ -316,7 +316,8 @@ def plateau_vs_rho(
         gz = tape.output
         w = exact_w_min(loss, gz, lam, rho_col)
         resid = w - gz
-        gap = np.linalg.norm(resid, axis=1, keepdims=True)
+        # row norms by np.linalg.norm's own formula, without its dispatch
+        gap = np.sqrt(np.add.reduce(resid * resid, axis=1, keepdims=True))
         _, lam = dual_update(sigma0, lam, resid, gap, t)
         lagrangian = aug_lagrangian(loss.value(w), lam, resid, gap[:, 0], rho)
         guard = lagrangian.sum()
@@ -326,7 +327,8 @@ def plateau_vs_rho(
         row = t - 1 - (iters - tail)
         if row >= 0:
             gaps[row] = gap[:, 0]
-            errs[row] = np.linalg.norm(w - w_star, axis=1)
+            err = w - w_star
+            errs[row] = np.sqrt(np.add.reduce(err * err, axis=1))
 
     per_rho = (len(rho_values), len(seeds))
     gap_plateaus = gaps.mean(axis=0).reshape(per_rho).mean(axis=1)

@@ -113,12 +113,21 @@ def _format(value):
 def write_trace_csv(trace, path, zero_wall=False):
     """Write the trace, streaming one line per record (csv.writer's bytes: no
     _format-ed cell needs quoting); zero_wall=True writes 0 in the timing
-    column so that repeated runs produce byte-identical files."""
-    values = attrgetter(*(TRACE_COLUMNS[:-1] if zero_wall else TRACE_COLUMNS))
+    column so that repeated runs produce byte-identical files.  A row of
+    only float and int cells is formatted by one C-level % operation; any
+    other row goes through _format cell by cell, to the same bytes."""
+    columns = TRACE_COLUMNS[:-1] if zero_wall else TRACE_COLUMNS
+    values = attrgetter(*columns)
     end = ",0\r\n" if zero_wall else "\r\n"
+    template = ",".join(["%r"] * len(columns)) + end
+    plain = frozenset((float, int))  # the cell types whose repr is their _format
     with open(path, "w", newline="") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\r\n")
-        fh.writelines(",".join(map(_format, values(rec))) + end for rec in trace)
+        for cells in map(values, trace):
+            if plain.issuperset(map(type, cells)):
+                fh.write(template % cells)
+            else:
+                fh.write(",".join(map(_format, cells)) + end)
 
 
 def read_trace_csv(path):

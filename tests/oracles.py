@@ -3,9 +3,12 @@
 Everything here is deliberately plain: central differences, dense linear
 algebra, and a general-purpose constrained solver.  None of it shares code
 with the library, so agreement between the two routes is evidence rather
-than tautology.  The exception is serial_geometry, the per-pair form of the
-geometry estimate, which evaluates the library's generator through its dense
-Jacobian to check the batched estimate.
+than tautology.  The exceptions are the geometry oracles, which draw their
+pairs one point at a time, in the library's stream order, and evaluate them
+on the library's generator: serial_geometry through its dense Jacobian, one
+pair at a time, to check the batched evaluation, and sequential_geometry
+through the same batched passes as the library, to check its draws bit for
+bit.
 """
 
 import math
@@ -13,7 +16,8 @@ import math
 import numpy as np
 from scipy.optimize import minimize
 
-from priorsolve.generator import DEGENERATE_PAIR_TOL, GeometryEstimate
+from priorsolve import generator
+from priorsolve.generator import GeometryEstimate, Tape
 
 
 def fd_jacobian(f, x, h=1e-6):
@@ -131,7 +135,8 @@ def uniform_ball_point(rng, dim, radius):
 
 
 def _ball_point(rng, dim, radius):
-    # the library's draw, kept here so the oracle consumes the same stream
+    # the library's draw one point at a time, so the oracles consume the
+    # same stream
     g = rng.standard_normal(dim)
     norm = np.linalg.norm(g)
     while norm < 1e-30:
@@ -141,7 +146,9 @@ def _ball_point(rng, dim, radius):
 
 
 def geometry_pairs(gen, n_pairs, seed):
-    """The (z1, z2, ||z2 - z1||) triples estimate_geometry draws, in order."""
+    """The (z1, z2, ||z2 - z1||) triples estimate_geometry draws, in order:
+    each candidate pair closer than DEGENERATE_PAIR_TOL (read at call time)
+    is skipped and the next two points of the stream are tried."""
     rng = np.random.default_rng(seed)
     dim = gen.input_dim
     radius = gen.domain_radius
@@ -151,10 +158,37 @@ def geometry_pairs(gen, n_pairs, seed):
             z1 = _ball_point(rng, dim, radius)
             z2 = _ball_point(rng, dim, radius)
             dist = float(np.linalg.norm(z2 - z1))
-            if dist >= DEGENERATE_PAIR_TOL:
+            if dist >= generator.DEGENERATE_PAIR_TOL:
                 break
         pairs.append((z1, z2, dist))
     return pairs
+
+
+def sequential_geometry(gen, n_pairs, seed):
+    """estimate_geometry on the pairs of geometry_pairs: one batched forward
+    pass over all points and one batched JVP on at least two z1 rows, so it
+    must equal the library's estimate exactly."""
+    z1, z2, dists = (np.array(col) for col in zip(*geometry_pairs(gen, n_pairs, seed)))
+    points = np.concatenate((z1, z2))
+    tape = gen.forward(points, return_tape=True)
+    out = tape.output
+    dg = out[n_pairs:] - out[:n_pairs]
+    ratios = np.sqrt(np.vecdot(dg, dg)) / dists
+    rows = max(n_pairs, 2)
+    head = Tape(
+        points[:rows], out[:rows], tuple(a[:rows] for a in tape.preacts), tape.layers
+    )
+    steps = np.zeros((rows, gen.input_dim))
+    steps[:n_pairs] = z2 - z1
+    rem = dg - gen.jvp(head.z, steps, tape=head)[:n_pairs]
+    return GeometryEstimate(
+        iota_hat=float(ratios.min()),
+        kappa_hat=float(ratios.max()),
+        nu_g_hat=float((2.0 * np.sqrt(np.vecdot(rem, rem)) / dists**2).max()),
+        n_pairs=n_pairs,
+        seed=seed,
+        domain_radius=gen.domain_radius,
+    )
 
 
 def serial_geometry(gen, n_pairs, seed):

@@ -199,8 +199,8 @@ def test_exact_w_min_rejects_unsupported_loss():
 
 def test_stopping_metric_hand_value():
     got = stopping_metric(
-        dz=np.array([0.1]),
-        dw=np.array([0.2]),
+        dz_sq=0.1**2,
+        dw_sq=0.2**2,
         alpha=0.5,
         beta=0.25,
         sigma_prev=2.0,
@@ -265,9 +265,10 @@ def test_admm_step_update_order_and_hand_recomputation():
 
     # stopping metric uses the OLD sigma and OLD feasibility gap
     gap0 = float(np.linalg.norm(w0 - gz0))
+    dz, dw = z1 - z0, w1 - w0
     want_stop = stopping_metric(
-        dz=z1 - z0, dw=w1 - w0, alpha=cfg.alpha, beta=cfg.beta,
-        sigma_prev=cfg.sigma0, gap_prev=gap0,
+        dz_sq=float(np.dot(dz, dz)), dw_sq=float(np.dot(dw, dw)),
+        alpha=cfg.alpha, beta=cfg.beta, sigma_prev=cfg.sigma0, gap_prev=gap0,
     )
     assert abs(rec.stop_metric - want_stop) < 1e-12 * (1.0 + want_stop)
     assert rec.feas_gap == gap1

@@ -11,7 +11,12 @@ import numpy as np
 import pytest
 
 from priorsolve.cli import main
-from priorsolve.generator import save_generator
+from priorsolve.generator import (
+    Activation,
+    FeedforwardGenerator,
+    Layer,
+    save_generator,
+)
 from priorsolve.trace import read_trace_csv
 
 from helpers import random_net
@@ -258,6 +263,15 @@ REFERENCE_COMPARE_SHA256 = {
 REFERENCE_SWEEP_SHA256 = (
     "ca958410f411d2726f517dc12169968f860a3d144b63f77f2ada48656192a5d2"
 )
+# stdout of the other subcommands on the reference generator
+REFERENCE_STDOUT_SHA256 = {
+    "estimate-geometry":
+        "a7aaecca4e32426af2eea66c0d45fa08262d00ac6111a85e469ac484bb1e5242",
+    "estimate-geometry --pairs 1 --seed 3":
+        "181cb3cb4954237c9e465755f7b2acd4d1653c1bd2868f4ed32572381a1bf8d6",
+    "tune-gd --steps 0.05,0.1,0.2,0.5":
+        "6e2d1e9e49f1eb06f52d12b61ecead460fde59e0edaf7bd52a672fdecda380cb",
+}
 
 
 def sha256(path):
@@ -279,6 +293,15 @@ def test_reference_plateau_sweep_artifact_is_pinned(tmp_path, capsys):
     ]
     assert main(argv) == 0
     assert sha256(out) == REFERENCE_SWEEP_SHA256
+
+
+@pytest.mark.parametrize("command", sorted(REFERENCE_STDOUT_SHA256))
+def test_reference_stdout_is_pinned(capsys, command):
+    name, *flags = command.split()
+    generator = str(CONFIGS / "reference_generator.json")
+    assert main([name, "--generator", generator, *flags]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == REFERENCE_STDOUT_SHA256[command]
 
 
 @pytest.mark.parametrize("method", ["gd", "admm", "eadmm"])
@@ -389,6 +412,20 @@ def test_estimate_geometry_rejects_bad_step_flags(tmp_path, capsys, flag, value)
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: config:")
     assert "invalid _" not in lines[0]  # no private type name
+
+
+def test_estimate_geometry_on_a_ball_too_small_for_any_pair(tmp_path, capsys):
+    # every pair in a ball of diameter 2e-13 is degenerate, so drawing pairs
+    # would never end; the estimate refuses before the first draw
+    layer = Layer(np.eye(3, 2), np.zeros(3), Activation("identity"))
+    path = tmp_path / "tiny.json"
+    save_generator(FeedforwardGenerator([layer], domain_radius=1e-13), path)
+    assert main(["estimate-geometry", "--generator", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: config: domain_radius 1e-13 holds no non-degenerate pair"
+    ]
 
 
 def test_estimate_geometry_missing_file(tmp_path, capsys):

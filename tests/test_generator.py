@@ -8,6 +8,7 @@ import pytest
 from helpers import random_net
 from oracles import fd_grad, fd_jacobian, uniform_ball_point
 from priorsolve.generator import (
+    DEGENERATE_PAIR_TOL,
     Activation,
     FeedforwardGenerator,
     Layer,
@@ -197,6 +198,19 @@ def test_geometry_scaled_identity():
     assert abs(est.iota_hat - 2.0) <= 1e-9
     assert abs(est.kappa_hat - 2.0) <= 1e-9
     assert est.nu_g_hat <= 1e-12
+
+
+def test_geometry_rejects_a_ball_too_small_for_any_pair():
+    # in a ball of diameter <= DEGENERATE_PAIR_TOL every pair is degenerate,
+    # so drawing pairs would never end
+    layer = Layer(np.eye(3, 2), np.zeros(3), Activation("identity"))
+    for radius in (1e-13, DEGENERATE_PAIR_TOL / 2):
+        gen = FeedforwardGenerator([layer], domain_radius=radius)
+        with pytest.raises(ValueError, match="holds no non-degenerate pair"):
+            estimate_geometry(gen, n_pairs=5, seed=0)
+    # a diameter of twice the tolerance leaves room for pairs
+    gen = FeedforwardGenerator([layer], domain_radius=DEGENERATE_PAIR_TOL)
+    assert estimate_geometry(gen, n_pairs=5, seed=0).n_pairs == 5
 
 
 def test_geometry_orders_and_provenance():

@@ -1,8 +1,9 @@
 """Properties over generated inputs: tape reuse and shared loss evaluations
 change no bit of the results, a batch of latents, like a (B, d) stack of
 iterates in the Lagrangian formulas, is evaluated row by row, and the batched
-geometry estimate agrees with its per-pair form and extends its own smaller
-samples, and the ELU derivative equals its piecewise form."""
+geometry estimate agrees with its per-pair form, equals its one-point-at-a-time
+draws exactly and extends its own smaller samples, and the ELU derivative
+equals its piecewise form."""
 
 import math
 
@@ -12,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from oracles import geometry_pairs, serial_geometry
+from oracles import geometry_pairs, sequential_geometry, serial_geometry
+from priorsolve import generator
 from priorsolve.admm import (
     aug_lagrangian,
     dual_update,
@@ -41,6 +43,16 @@ def test_elu_derivative_equals_its_piecewise_form(x):
     with np.errstate(over="ignore"):
         piecewise = np.where(x > 0.0, 1.0, 1.0 * np.exp(np.minimum(x, 0.0)))
     assert Activation("elu").derivative(x).tobytes() == piecewise.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, array_shapes(max_dims=2, max_side=16), elements=st.floats()))
+def test_elu_value_equals_its_alpha_form(x):
+    """With elu_alpha = 1, value skips the factor alpha: 1.0 * y is y bit for
+    bit, nan included."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        alpha_form = np.where(x > 0.0, x, 1.0 * np.expm1(np.minimum(x, 0.0)))
+    assert Activation("elu").value(x).tobytes() == alpha_form.tobytes()
 
 
 @st.composite
@@ -235,6 +247,23 @@ def test_geometry_matches_serial_oracle(data):
         np.testing.assert_allclose(
             getattr(est, name), getattr(want, name), rtol=1e-12, atol=floor,
             err_msg=name,
+        )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_geometry_equals_its_sequential_draw_oracle(data):
+    """The vectorized draws keep the stream, the roundings and the pairs of
+    the one-point-at-a-time loop, also when degenerate pairs are dropped: a
+    pair tolerance of up to the domain radius (3) forces redraws."""
+    gen = data.draw(generators())
+    n_pairs = data.draw(st.integers(1, 40))
+    seed = data.draw(st.integers(0, 2**64 - 1))
+    tol = data.draw(st.just(generator.DEGENERATE_PAIR_TOL) | st.floats(0.5, 3.0))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(generator, "DEGENERATE_PAIR_TOL", tol)
+        assert estimate_geometry(gen, n_pairs, seed) == sequential_geometry(
+            gen, n_pairs, seed
         )
 
 

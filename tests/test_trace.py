@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from priorsolve.trace import (
     TRACE_COLUMNS,
     RunTrace,
+    _format,
     TraceRecord,
     read_trace_csv,
     write_summary_csv,
@@ -93,6 +94,43 @@ def test_round_trip_is_exact(scratch_csv, rows, zero_wall):
         for name in TRACE_COLUMNS[:-1]:
             assert same_value(getattr(got, name), getattr(rec, name)), name
         assert got.wall_ns == (0 if zero_wall else rec.wall_ns)
+
+
+# every cell type a record may carry; rows of only Python float and int
+# cells take the writer's one-format path, any other row its per-cell path
+plain_cells = st.floats() | st.integers(-(2**70), 2**70)
+mixed_cells = (
+    plain_cells
+    | st.none()
+    | st.floats().map(np.float64)
+    | st.floats(width=32).map(np.float32)
+)
+cell_rows = st.lists(
+    st.booleans().flatmap(
+        lambda plain: st.tuples(
+            *((plain_cells if plain else mixed_cells) for _ in TRACE_COLUMNS[1:])
+        )
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=cell_rows, zero_wall=st.booleans())
+def test_writer_bytes_equal_format_join(scratch_csv, rows, zero_wall):
+    """Whatever mix of Python float, np.float64, np.float32, int and None a
+    row holds, the file holds the _format of every cell."""
+    trace = RunTrace()
+    for t, cells in enumerate(rows, start=1):
+        trace.append(TraceRecord(t, *cells))
+    write_trace_csv(trace, scratch_csv, zero_wall=zero_wall)
+    want = [",".join(TRACE_COLUMNS)]
+    for rec in trace:
+        cells = [getattr(rec, name) for name in TRACE_COLUMNS]
+        if zero_wall:
+            cells[-1] = 0
+        want.append(",".join(map(_format, cells)))
+    assert scratch_csv.read_bytes() == "".join(s + "\r\n" for s in want).encode()
 
 
 def test_blank_dist_columns_when_no_planted_solution(tmp_path):
