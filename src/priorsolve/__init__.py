@@ -23,7 +23,6 @@ from .admm import (
     grad_z_lagrangian,
     initial_state,
     run,
-    run_multiscale,
     suggest_step_sizes,
 )
 from .config import ConfigError, RunSettings, load_problem, parse_config
@@ -107,7 +106,6 @@ __all__ = [
     "read_trace_csv",
     "run",
     "run_gd",
-    "run_multiscale",
     "save_generator",
     "suggest_step_sizes",
     "tune_gd_step",

@@ -28,18 +28,21 @@ The iteration stops once
     ||z_{t+1} - z_t||^2 / alpha + ||w_{t+1} - w_t||^2 / beta
         + sigma_t ||w_t - G(z_t)||^2  <=  tau_c.
 
-run_multiscale chains stages k = 1..K with rho_k = 2^k rho, step sizes
-alpha_k = 2^-k alpha and beta_k = 2^-k beta, and 2^k n iterations per
-stage, warm starting (w, z, lam, sigma) and the schedule counter t across
-stage boundaries and using the exact w minimizer throughout.
+run is the one driver.  Without a schedule it runs max_iters iterations at
+the config's rho, alpha and beta.  A MultiscaleSchedule chains stages
+k = 1..K with rho_k = 2^k rho, alpha_k = 2^-k alpha, beta_k = 2^-k beta and
+2^k n iterations each, warm starting (w, z, lam, sigma) and the counter t
+across stages and using the exact w minimizer throughout.  trace.stop_reason
+says why a run stopped: "tol" (later stages are then skipped), "budget" or
+"nonfinite".
 
 aug_lagrangian, grad_w_lagrangian, grad_z_lagrangian and dual_update state
 these formulas once, on values an iteration already holds and row by row on
 (B, d) stacks; admm_step, the lockstep sweep in harness and
 gd_admm_step_gap call them.  Closed-form w steps live on the losses
 (w_minimizer); admm_step and the sweep reach them through exact_w_min.  One
-run loop, _drive, steps run, each run_multiscale stage and gd.run_gd, and
-owns the clock, the observer, the stop test and the partial trace a
+run loop, _drive, steps each stage of run and gd.run_gd, and owns the
+clock, the observer, the stop test, the stop reason and the partial trace a
 NonFiniteError carries.
 
 Finiteness is tested on scalars a step holds anyway: ||z_{t+1} - z_t||^2 for z,
@@ -108,6 +111,14 @@ class MultiscaleSchedule:
             raise ValueError("stages must be at least 1")
         if self.base_iters < 1:
             raise ValueError("base_iters must be at least 1")
+
+    def stage_iters(self, k):
+        """The budget of stage k: 2^k * base_iters iterations."""
+        return self.base_iters * 2**k
+
+    def total_iters(self):
+        """The budget of the whole plan, summed over its stages."""
+        return sum(map(self.stage_iters, range(1, self.stages + 1)))
 
 
 @dataclass(frozen=True)
@@ -349,9 +360,10 @@ def admm_step(problem, cfg, state, planted=None):
 def _drive(step, state, max_iters, tol, trace, t0, observer=None):
     """Apply step(state) -> (state, record) up to max_iters times, stamping
     each record with the wall time since t0 (perf_counter_ns), appending it
-    to trace and passing (state, record) to the observer; stops early once
-    record.stop_metric <= tol.  Returns (state, stopped_early).  A
-    NonFiniteError leaves with the trace collected so far attached."""
+    to trace and passing (state, record) to the observer; returns the final
+    state.  Sets trace.stop_reason to "tol" once record.stop_metric <= tol,
+    else to "budget".  A NonFiniteError sets "nonfinite" and leaves with the
+    trace collected so far attached."""
     try:
         for _ in range(max_iters):
             state, record = step(state)
@@ -360,68 +372,51 @@ def _drive(step, state, max_iters, tol, trace, t0, observer=None):
             if observer is not None:
                 observer(state, record)
             if record.stop_metric <= tol:
-                return state, True
+                trace.stop_reason = "tol"
+                return state
     except NonFiniteError as err:
+        trace.stop_reason = "nonfinite"
         err.trace = trace
         raise
-    return state, False
+    trace.stop_reason = "budget"
+    return state
 
 
 def run(problem, cfg, state, planted=None, observer=None):
-    """Iterate until the stopping metric drops to tau_c or max_iters is
-    spent; returns (final_state, trace).  max_iters = 0 returns the initial
-    state with an empty trace.  A config with a multiscale schedule runs
-    run_multiscale instead.  On divergence the NonFiniteError carries the
-    partial trace."""
-    if cfg.multiscale is not None:
-        return run_multiscale(problem, cfg, state, planted, observer)
+    """Iterate until the stopping metric drops to tau_c or the budget is
+    spent; returns (final_state, trace).  The budget is max_iters (0 returns
+    the initial state and an empty trace) or, with a schedule, its stages on
+    one clock and trace, each completed one annotated on trace.stages.  On
+    divergence the NonFiniteError carries the partial trace."""
     _check_exact_mode(problem, cfg)
+    sched = cfg.multiscale
     trace = RunTrace()
-    state, _ = _drive(
-        lambda s: admm_step(problem, cfg, s, planted),
-        state, cfg.max_iters, cfg.tau_c, trace, time.perf_counter_ns(), observer,
-    )
+    t0 = time.perf_counter_ns()
+    for k in (0,) if sched is None else range(1, sched.stages + 1):
+        stage_cfg = cfg if sched is None else dataclasses.replace(
+            cfg, rho=cfg.rho * 2.0**k, alpha=cfg.alpha * 0.5**k,
+            beta=cfg.beta * 0.5**k, max_iters=sched.stage_iters(k), multiscale=None,
+        )
+        first_t = state.t
+        state = _drive(
+            lambda s: admm_step(problem, stage_cfg, s, planted),
+            state, stage_cfg.max_iters, cfg.tau_c, trace, t0, observer,
+        )
+        if sched is not None:
+            trace.stages.append(StageInfo(
+                index=k, rho=stage_cfg.rho, alpha=stage_cfg.alpha,
+                beta=stage_cfg.beta, first_t=first_t, last_t=state.t - 1,
+            ))
+        if trace.stop_reason == "tol":
+            break
     return state, trace
 
 
 def run_multiscale(problem, cfg, state, planted=None, observer=None):
-    """Chained stages with doubling rho / halving step sizes (see module
-    docstring).  The state, including the dual schedule counter, is carried
-    across stages; an early stop inside a stage ends the whole run.  Stage
-    parameters and record spans of the completed stages are annotated on
-    trace.stages; on divergence the partial trace spans every stage run."""
+    """run, for a config that must carry a multiscale schedule."""
     if cfg.multiscale is None:
         raise ValueError("config has no multiscale schedule")
-    sched = cfg.multiscale
-    trace = RunTrace()
-    t0 = time.perf_counter_ns()
-    for k in range(1, sched.stages + 1):
-        stage_cfg = dataclasses.replace(
-            cfg,
-            rho=cfg.rho * 2.0**k,
-            alpha=cfg.alpha * 0.5**k,
-            beta=cfg.beta * 0.5**k,
-            max_iters=sched.base_iters * 2**k,
-            multiscale=None,
-        )
-        first_t = state.t
-        state, stopped = _drive(
-            lambda s: admm_step(problem, stage_cfg, s, planted),
-            state, stage_cfg.max_iters, cfg.tau_c, trace, t0, observer,
-        )
-        trace.stages.append(
-            StageInfo(
-                index=k,
-                rho=stage_cfg.rho,
-                alpha=stage_cfg.alpha,
-                beta=stage_cfg.beta,
-                first_t=first_t,
-                last_t=state.t - 1,
-            )
-        )
-        if stopped:
-            break
-    return state, trace
+    return run(problem, cfg, state, planted, observer)
 
 
 def suggest_step_sizes(loss, kappa_hat, rho):

@@ -25,7 +25,7 @@ that is not finite (nan, inf).
   max_iters          positive integer (gd / admm; derived for eadmm)
   alpha, beta        positive floats; when omitted they are suggested from
                      the loss smoothness and the estimated generator geometry
-  geometry_pairs     integer >= 2, default 2000 (used when beta is omitted)
+  geometry_pairs     integer >= 2, default 2000 (used when a step is omitted)
   stages             positive integer, eadmm only (required there)
   stage_iters        positive integer, eadmm only (required there)
   step               positive float, gd step size (required for method = gd)
@@ -37,13 +37,12 @@ that is not finite (nan, inf).
   zero_wall          boolean, default false
 
 `compare` runs all three solvers from one file, so it ignores method (the
-key may still be present), requires rho, max_iters, stages and stage_iters,
-and fills a missing gd step with the splitting solver's z step size so the
-baselines are matched first-order methods.  That beta = 1/(rho kappa_hat^2)
-is not a stable gd step once rho drops below about nu_L / 2 (gd needs less
-than about 2 / (nu_L kappa_hat^2)): configs/reference.ini without its step
-(rho = 0.1, beta = 4.56) makes gd diverge, and `compare` exits 2 at
-iteration 344.  Kind denoise_linf rejects eadmm and `compare`: the exact w
+key may still be present) and requires rho, max_iters, stages and
+stage_iters.  It fills a missing gd step with 1/(nu_L kappa_hat^2), the
+1/Lipschitz step of L(G(z)) when G bends little, from the same geometry
+estimate as beta; gd is stable below about 2/(nu_L kappa_hat^2), whatever
+rho is.  configs/reference.ini without its step (0.456 there) converges in
+955 iterations.  Kind denoise_linf rejects eadmm and `compare`: the exact w
 step needs the zero w-regularizer.
 """
 
@@ -299,15 +298,10 @@ def load_problem(settings):
     return gen, inst
 
 
-def _stage_total(stages, stage_iters):
-    """Total iterations of the doubling stage plan: sum of n * 2^k."""
-    return stage_iters * (2 ** (stages + 1) - 2)
-
-
 def step_geometry(settings, gen):
     """The geometry estimate that suggests omitted step sizes, or None when
-    the settings give both alpha and beta."""
-    if settings.alpha is not None and settings.beta is not None:
+    the settings give alpha, beta and the gd step."""
+    if None not in (settings.alpha, settings.beta, settings.step):
         return None
     return estimate_geometry(gen, settings.geometry_pairs, seed=0)
 
@@ -317,36 +311,35 @@ def solver_settings(settings, gen, inst, method=None, geometry=None):
     for gd, AdmmConfig for the splitting solvers.
 
     method overrides settings.method (compare needs a config for every
-    method from one file).  Suggested steps use the loss smoothness for
-    alpha and estimated geometry for beta, and a missing gd step falls back
-    to that admm beta, so compare's baselines are matched first-order
-    methods; geometry, the result of step_geometry, spares a second
-    estimate when one file yields several configs.
+    method from one file).  Suggested steps use the loss smoothness nu_L
+    for alpha, and the estimated geometry for beta = 1/(rho kappa_hat^2) and
+    the gd step 1/(nu_L kappa_hat^2); geometry, the result of step_geometry,
+    spares a second estimate when one file yields several configs.
     """
     method = settings.method if method is None else method
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
+    loss = inst.problem.loss
     if method == "gd":
         step = settings.step
         if step is None:
-            step = solver_settings(settings, gen, inst, "admm", geometry).beta
+            est = step_geometry(settings, gen) if geometry is None else geometry
+            step = 1.0 / (loss.convexity_constants()[1] * est.kappa_hat**2)
         return GdConfig(
             step=step, max_iters=settings.max_iters, grad_tol=settings.grad_tol
         )
     alpha, beta = settings.alpha, settings.beta
     if alpha is None or beta is None:
         est = step_geometry(settings, gen) if geometry is None else geometry
-        sug_alpha, sug_beta = suggest_step_sizes(
-            inst.problem.loss, est.kappa_hat, settings.rho
-        )
+        sug_alpha, sug_beta = suggest_step_sizes(loss, est.kappa_hat, settings.rho)
         alpha = sug_alpha if alpha is None else alpha
         beta = sug_beta if beta is None else beta
     max_iters, schedule = settings.max_iters, None
     if method == "eadmm":
-        max_iters = _stage_total(settings.stages, settings.stage_iters)
         schedule = MultiscaleSchedule(
             stages=settings.stages, base_iters=settings.stage_iters
         )
+        max_iters = schedule.total_iters()
     return AdmmConfig(
         rho=settings.rho,
         alpha=alpha,

@@ -67,9 +67,9 @@ def grad_h(loss, gen, z, tape=None):
 def run_gd(loss, gen, cfg, z0, planted=None):
     """Descend h from z0; returns (final z, trace).
 
-    Stops when ||grad h|| at the new iterate drops to grad_tol or the
-    budget is spent.  Divergence raises NonFiniteError with the partial
-    trace attached, mirroring the splitting solver.
+    Stops when ||grad h|| at the new iterate drops to grad_tol ("tol") or
+    the budget is spent ("budget"), as trace.stop_reason records.  Divergence
+    raises NonFiniteError with the partial trace attached, as run does.
     """
     t0 = time.perf_counter_ns()
     z0 = np.asarray(z0, dtype=float)
@@ -108,7 +108,7 @@ def run_gd(loss, gen, cfg, z0, planted=None):
 
     trace = RunTrace()
     point = (1, z0, grad_h(loss, gen, z0, tape0), tape0.output)
-    point, _ = _drive(step, point, cfg.max_iters, cfg.grad_tol, trace, t0)
+    point = _drive(step, point, cfg.max_iters, cfg.grad_tol, trace, t0)
     return point[1], trace
 
 

@@ -44,6 +44,8 @@ RANK_TOL = 1e-10
 
 # pairs closer than this are redrawn when sampling difference quotients
 DEGENERATE_PAIR_TOL = 1e-12
+# one estimate gives up once it has drawn this many candidates per pair
+MAX_DRAWS_PER_PAIR = 100
 
 
 def _sigmoid(x):
@@ -315,7 +317,8 @@ def estimate_geometry(gen, n_pairs, seed):
     with a larger n_pairs and the same seed extend the smaller sample and
     are monotone in it.  Degenerate pairs (distance below
     DEGENERATE_PAIR_TOL) are dropped and more are drawn until n_pairs
-    remain; a ball too small to hold a non-degenerate pair raises
+    remain; a ball too small to hold a non-degenerate pair, or one that
+    yields too few of them in MAX_DRAWS_PER_PAIR * n_pairs draws, raises
     ValueError.  All 2 n_pairs points are then evaluated by one batched
     forward pass, and the linearizations DG(z1)(z2 - z1) by one batched JVP
     on the z1 rows of its tape; no Jacobian is formed.
@@ -329,10 +332,16 @@ def estimate_geometry(gen, n_pairs, seed):
     # rng.random() is the draw that rng.uniform() scales by 1 and shifts by 0
     draw = (rng.standard_normal, rng.random, dim, radius)
     pairs, dists = _draw_pairs(*draw, n_pairs)
+    drawn = n_pairs
     while not (keep := dists >= DEGENERATE_PAIR_TOL).all():
+        missing = n_pairs - int(keep.sum())
+        if drawn >= MAX_DRAWS_PER_PAIR * n_pairs:
+            raise ValueError(f"domain_radius {radius!r} gave {n_pairs - missing} "
+                             f"of {n_pairs} non-degenerate pairs in {drawn} draws")
         # degenerate pairs are dropped and replaced from the stream, so the
         # kept pairs are its first n_pairs non-degenerate ones
-        more, more_dists = _draw_pairs(*draw, n_pairs - int(keep.sum()))
+        more, more_dists = _draw_pairs(*draw, missing)
+        drawn += missing
         pairs = np.concatenate((pairs[keep], more))
         dists = np.concatenate((dists[keep], more_dists))
     # rows [0, n) hold z1 and rows [n, 2n) hold z2 of the same pair

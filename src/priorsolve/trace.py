@@ -83,6 +83,7 @@ class StageInfo:
 class RunTrace:
     records: list = field(default_factory=list)
     stages: list = field(default_factory=list)
+    stop_reason: str = None  # set by the run loop: "tol", "budget", "nonfinite"
 
     def append(self, record):
         if self.records and record.t <= self.records[-1].t:
@@ -132,7 +133,7 @@ def write_trace_csv(trace, path, zero_wall=False):
 
 def read_trace_csv(path):
     """Parse a trace file back into a RunTrace (records only; stage
-    annotations are in-memory metadata and are not serialized)."""
+    annotations and the stop reason are in-memory and not serialized)."""
     trace = RunTrace()
     with open(path, newline="") as fh:
         reader = csv.reader(fh)

@@ -327,6 +327,24 @@ def test_run_writes_the_pinned_compare_trace(tmp_path, capsys, method):
     ]
 
 
+def test_compare_without_step_gives_gd_a_stable_step(tmp_path, capsys):
+    # gd's fallback step 1/(nu_L kappa_hat^2) does not depend on rho; the
+    # admm beta 1/(rho kappa_hat^2) it replaced made gd diverge at rho = 0.1
+    text = (CONFIGS / "reference.ini").read_text()
+    edits = [
+        ("step = 0.5\n", ""),
+        ("file = reference_generator.json",
+         f"file = {CONFIGS / 'reference_generator.json'}"),
+    ]
+    for old, new in edits:
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    out = tmp_path / "out"
+    assert main(["compare", str(write_config(tmp_path, text)), "--out-dir", str(out)]) == 0
+    gd = read_trace_csv(out / "gd_trace.csv")
+    assert gd.records[-1].dist_w < 1e-8
+
+
 @pytest.mark.parametrize(
     "section, key, value",
     [
@@ -426,6 +444,20 @@ def test_estimate_geometry_on_a_ball_too_small_for_any_pair(tmp_path, capsys):
     assert captured.err.splitlines() == [
         "error: config: domain_radius 1e-13 holds no non-degenerate pair"
     ]
+
+
+def test_estimate_geometry_on_a_ball_that_rarely_yields_a_pair(tmp_path, capsys):
+    # non-degenerate pairs exist in a ball of diameter 1.00002e-12 but are
+    # almost never drawn; the estimate gives up instead of spinning
+    layer = Layer(np.eye(3, 2), np.zeros(3), Activation("identity"))
+    path = tmp_path / "tiny.json"
+    save_generator(FeedforwardGenerator([layer], domain_radius=5.0001e-13), path)
+    assert main(["estimate-geometry", "--generator", str(path), "--pairs", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: config: domain_radius 5.0001e-13 gave ")
 
 
 def test_estimate_geometry_missing_file(tmp_path, capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from priorsolve.config import ConfigError, load_problem, parse_config, solver_settings
-from priorsolve.generator import save_generator
+from priorsolve.generator import estimate_geometry, save_generator
 from priorsolve.losses import QuadraticDenoise, ScaledQuadratic
 
 from helpers import random_net
@@ -272,3 +272,23 @@ def test_solver_settings_eadmm(tmp_path):
     assert admm_cfg.multiscale.base_iters == 4
     # total budget covers every stage: 4 * (2 + 4 + 8)
     assert admm_cfg.max_iters == 56
+
+
+def test_solver_settings_gd_step_fallback(tmp_path):
+    # without step, gd takes 1/(nu_L kappa_hat^2) from the geometry estimate,
+    # also when alpha and beta are given and admm needs no estimate
+    gen, _ = write_generator(tmp_path)
+    text = BASE.replace("method = admm\n", "").replace(
+        "rho = 0.5", "rho = 0.5\nstages = 2\nstage_iters = 5\ngeometry_pairs = 50"
+    )
+    kappa = estimate_geometry(gen, 50, seed=0).kappa_hat
+    for extra in ("", "\nalpha = 0.7\nbeta = 0.05"):
+        cfg = parse_config(
+            write_config(tmp_path, text.replace("rho = 0.5", "rho = 0.5" + extra)),
+            command="compare",
+        )
+        loaded, inst = load_problem(cfg)
+        assert solver_settings(cfg, loaded, inst, "gd").step == 1.0 / kappa**2
+        given = text.replace("rho = 0.5", "rho = 0.5\nstep = 0.3" + extra)
+        cfg = parse_config(write_config(tmp_path, given), command="compare")
+        assert solver_settings(cfg, loaded, inst, "gd").step == 0.3

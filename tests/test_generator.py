@@ -9,6 +9,7 @@ from helpers import random_net
 from oracles import fd_grad, fd_jacobian, uniform_ball_point
 from priorsolve.generator import (
     DEGENERATE_PAIR_TOL,
+    MAX_DRAWS_PER_PAIR,
     Activation,
     FeedforwardGenerator,
     Layer,
@@ -211,6 +212,17 @@ def test_geometry_rejects_a_ball_too_small_for_any_pair():
     # a diameter of twice the tolerance leaves room for pairs
     gen = FeedforwardGenerator([layer], domain_radius=DEGENERATE_PAIR_TOL)
     assert estimate_geometry(gen, n_pairs=5, seed=0).n_pairs == 5
+
+
+def test_geometry_gives_up_on_a_ball_that_rarely_yields_a_pair():
+    # a diameter just above DEGENERATE_PAIR_TOL holds non-degenerate pairs,
+    # but draws them almost never; the estimate stops after a bounded number
+    # of draws instead of spinning
+    layer = Layer(np.eye(3, 2), np.zeros(3), Activation("identity"))
+    gen = FeedforwardGenerator([layer], domain_radius=5.0001e-13)
+    draws = MAX_DRAWS_PER_PAIR * 5
+    with pytest.raises(ValueError, match=f"of 5 non-degenerate pairs in {draws} draws"):
+        estimate_geometry(gen, n_pairs=5, seed=0)
 
 
 def test_geometry_orders_and_provenance():
