@@ -78,13 +78,26 @@ def _float_list(raw):
     return tuple(_finite_float(x) for x in raw.split(","))
 
 
-def _int_list(raw):
+def _seed(raw):
+    """argparse type of a seed: numpy's error for a negative one names no flag."""
     try:
-        return tuple(int(x) for x in raw.split(","))
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed {raw!r} is negative")
+    return value
+
+
+def _seed_list(raw):
+    parts = raw.split(",")
+    try:
+        [int(x) for x in parts]  # an unparsable part gets the list message
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"{raw!r} is not a comma-separated list of integers"
         ) from None
+    return tuple(map(_seed, parts))
 
 
 def _fmt(value):
@@ -164,16 +177,16 @@ def cmd_compare(args):
         path = os.path.join(args.out_dir, f"{algo}_trace.csv")
         traces[algo] = _solve(algo, settings, gen, inst, path, zero_wall=True,
                               geometry=geometry)
+    write_summary_csv(
+        [_summary_row(algo, trace, wall_ns=0) for algo, trace in traces.items()],
+        os.path.join(args.out_dir, "summary.csv"),
+    )
     for algo, trace in traces.items():
         last = trace.records[-1]
         print(
             f"algo={algo} iters={len(trace)} "
             f"final_obj={_fmt(last.objective)} final_gap={_fmt(last.feas_gap)}"
         )
-    write_summary_csv(
-        [_summary_row(algo, trace, wall_ns=0) for algo, trace in traces.items()],
-        os.path.join(args.out_dir, "summary.csv"),
-    )
     return 0
 
 
@@ -204,11 +217,6 @@ def cmd_plateau_sweep(args):
         iters=args.iters,
         sigma0=args.sigma0,
     )
-    for row in rows:
-        print(
-            f"rho={row['rho']:g} gap_plateau={_fmt(row['gap_plateau'])} "
-            f"err_plateau={_fmt(row['err_plateau'])}"
-        )
     if args.out is not None:
         with open(args.out, "w", newline="") as fh:
             fh.write("rho,gap_plateau,err_plateau\r\n")
@@ -217,6 +225,11 @@ def cmd_plateau_sweep(args):
                     f"{_fmt(row['rho'])},{_fmt(row['gap_plateau'])},"
                     f"{_fmt(row['err_plateau'])}\r\n"
                 )
+    for row in rows:
+        print(
+            f"rho={row['rho']:g} gap_plateau={_fmt(row['gap_plateau'])} "
+            f"err_plateau={_fmt(row['err_plateau'])}"
+        )
     return 0
 
 
@@ -250,7 +263,7 @@ def build_parser():
     p = sub.add_parser("estimate-geometry", help="sample generator constants")
     p.add_argument("--generator", required=True, help="generator JSON file")
     p.add_argument("--pairs", type=int, default=2000, help="sample pairs")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument(
         "--rho", type=_finite_float, default=1.0, help="penalty weight for beta"
     )
@@ -262,7 +275,7 @@ def build_parser():
     p = sub.add_parser("plateau-sweep", help="plateau levels vs penalty weight")
     p.add_argument("--generator", required=True)
     p.add_argument("--rho-values", type=_float_list, required=True)
-    p.add_argument("--seeds", type=_int_list, default=(0,))
+    p.add_argument("--seeds", type=_seed_list, default=(0,))
     p.add_argument("--noise", type=_finite_float, default=0.1)
     p.add_argument("--iters", type=int, default=2000)
     p.add_argument("--sigma0", type=_finite_float, default=0.2)
@@ -274,10 +287,10 @@ def build_parser():
     p.add_argument("--steps", type=_float_list, required=True)
     p.add_argument("--kind", default="denoise_l2")
     p.add_argument("--noise", type=_finite_float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--starts", type=int, default=3)
     p.add_argument(
-        "--start-seed", type=int, default=1, help="seed for the starting points"
+        "--start-seed", type=_seed, default=1, help="seed for the starting points"
     )
     p.add_argument("--budget", type=int, default=200)
     p.set_defaults(func=cmd_tune_gd)

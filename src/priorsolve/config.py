@@ -1,14 +1,14 @@
 """INI run configurations for the command-line driver.
 
 A config file has sections [problem], [generator], [algorithm], and
-optionally [output]; any other section or key is an error, as is a key that
-does not apply to the declared problem kind or solver method, or a float
-that is not finite (nan, inf).
+optionally [output].  Any other section or key is an error, as is a key that
+another problem kind takes, a float that is not finite (nan, inf), a value
+outside the range below, a missing required key, or max_iters with eadmm.
 
 [problem]
   kind               denoise_l2 | denoise_linf | compressive_sensing (required)
   noise_level        nonnegative float, default 0
-  seed               integer, default 0
+  seed               nonnegative integer, default 0
   measurement_ratio  float in (0, 1], compressive_sensing only, default 0.5
   gamma              positive float, denoise_linf only, default 0.01
   linf_weight        positive float, denoise_linf only, default 1.0
@@ -22,12 +22,12 @@ that is not finite (nan, inf).
   rho                positive float (required unless method = gd)
   sigma0             positive float, default 0.2
   tau_c              positive float, default 1e-12
-  max_iters          positive integer (gd / admm; derived for eadmm)
+  max_iters          positive integer (gd / admm; an error with eadmm)
   alpha, beta        positive floats; when omitted they are suggested from
                      the loss smoothness and the estimated generator geometry
   geometry_pairs     integer >= 2, default 2000 (used when a step is omitted)
-  stages             positive integer, eadmm only (required there)
-  stage_iters        positive integer, eadmm only (required there)
+  stages             positive integer (required for eadmm)
+  stage_iters        positive integer (required for eadmm)
   step               positive float, gd step size (required for method = gd)
   grad_tol           positive float, default 1e-9
 
@@ -69,8 +69,12 @@ __all__ = [
 
 METHODS = ("gd", "admm", "eadmm")
 
-_LINF_KEYS = ("gamma", "linf_weight")
-_CS_KEYS = ("measurement_ratio",)
+# [problem] keys that only one kind accepts
+_KIND_KEYS = {
+    "gamma": "denoise_linf",
+    "linf_weight": "denoise_linf",
+    "measurement_ratio": "compressive_sensing",
+}
 
 # [algorithm] keys that must be given, by command (compare) or method (run)
 _REQUIRED = {
@@ -122,30 +126,32 @@ def _parse_bool(raw):
 
 
 class _Section:
-    """Typed key extraction with leftover detection."""
+    """Typed key extraction with leftover detection; take also stores each
+    value, given or default, in values.  A missing section reads as empty."""
 
-    def __init__(self, name, mapping):
+    def __init__(self, parser, name, values):
         self.name = name
-        self.left = dict(mapping)
+        self.left = dict(parser[name]) if parser.has_section(name) else {}
+        self.values = values
 
     def take(self, key, conv, default=None, required=False, positive=False):
-        if key not in self.left:
-            if required:
-                raise ConfigError(f"[{self.name}] is missing required key {key!r}")
-            return default
-        raw = self.left.pop(key)
-        try:
-            value = conv(raw)
-        except ValueError:
-            raise ConfigError(f"[{self.name}] {key}: cannot parse {raw!r}") from None
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"[{self.name}] {key} must be finite")
-        if positive and not value > 0:
-            raise ConfigError(f"[{self.name}] {key} must be strictly positive")
+        value = default
+        if key in self.left:
+            raw = self.left.pop(key)
+            try:
+                value = conv(raw)
+            except ValueError:
+                raise ConfigError(
+                    f"[{self.name}] {key}: cannot parse {raw!r}"
+                ) from None
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"[{self.name}] {key} must be finite")
+            if positive and not value > 0:
+                raise ConfigError(f"[{self.name}] {key} must be strictly positive")
+        elif required:
+            raise ConfigError(f"[{self.name}] is missing required key {key!r}")
+        self.values[key] = value
         return value
-
-    def has(self, key):
-        return key in self.left
 
     def finish(self):
         if self.left:
@@ -175,61 +181,55 @@ def parse_config(path, command="run"):
         if name not in present:
             raise ConfigError(f"missing required section [{name}]")
 
-    problem = _Section("problem", parser["problem"])
+    values = {}
+    problem = _Section(parser, "problem", values)
     kind = problem.take("kind", str, required=True)
     if kind not in INSTANCE_KINDS:
         raise ConfigError(f"[problem] unknown kind {kind!r}")
-    for key in _LINF_KEYS:
-        if problem.has(key) and kind != "denoise_linf":
-            raise ConfigError(f"[problem] {key} only applies to kind denoise_linf")
-    for key in _CS_KEYS:
-        if problem.has(key) and kind != "compressive_sensing":
-            raise ConfigError(
-                f"[problem] {key} only applies to kind compressive_sensing"
-            )
-    noise_level = problem.take("noise_level", float, default=0.0)
-    if noise_level < 0.0:
+    for key, only in _KIND_KEYS.items():
+        if key in problem.left and kind != only:
+            raise ConfigError(f"[problem] {key} only applies to kind {only}")
+    if problem.take("noise_level", float, default=0.0) < 0.0:
         raise ConfigError("[problem] noise_level must be nonnegative")
-    seed = problem.take("seed", int, default=0)
-    ratio = problem.take("measurement_ratio", float, default=0.5)
-    if not 0.0 < ratio <= 1.0:
+    if problem.take("seed", int, default=0) < 0:
+        raise ConfigError("[problem] seed must be nonnegative")
+    if not 0.0 < problem.take("measurement_ratio", float, default=0.5) <= 1.0:
         raise ConfigError("[problem] measurement_ratio must lie in (0, 1]")
-    gamma = problem.take("gamma", float, default=0.01, positive=True)
-    linf_weight = problem.take("linf_weight", float, default=1.0, positive=True)
+    problem.take("gamma", float, default=0.01, positive=True)
+    problem.take("linf_weight", float, default=1.0, positive=True)
     problem.finish()
 
-    generator = _Section("generator", parser["generator"])
-    gen_file = generator.take("file", str, required=True)
+    generator = _Section(parser, "generator", values)
+    generator.take("file", str, required=True)
     generator.finish()
-    if not os.path.isabs(gen_file):
-        gen_file = os.path.join(os.path.dirname(os.path.abspath(path)), gen_file)
+    # join keeps an absolute file as it is
+    values["generator_path"] = os.path.join(
+        os.path.dirname(os.path.abspath(path)), values.pop("file")
+    )
 
-    algo = _Section("algorithm", parser["algorithm"])
+    algo = _Section(parser, "algorithm", values)
     method = algo.take("method", str, required=(command == "run"))
     if method is not None and method not in METHODS:
         raise ConfigError(f"[algorithm] unknown method {method!r}")
-    rho = algo.take("rho", float, positive=True)
-    alpha = algo.take("alpha", float, positive=True)
-    beta = algo.take("beta", float, positive=True)
-    sigma0 = algo.take("sigma0", float, default=0.2, positive=True)
-    tau_c = algo.take("tau_c", float, default=1e-12, positive=True)
-    max_iters = algo.take("max_iters", int, positive=True)
-    pairs = algo.take("geometry_pairs", int, default=2000)
-    if pairs < 2:
+    algo.take("rho", float, positive=True)
+    algo.take("alpha", float, positive=True)
+    algo.take("beta", float, positive=True)
+    algo.take("sigma0", float, default=0.2, positive=True)
+    algo.take("tau_c", float, default=1e-12, positive=True)
+    algo.take("max_iters", int, positive=True)
+    if algo.take("geometry_pairs", int, default=2000) < 2:
         raise ConfigError("[algorithm] geometry_pairs must be at least 2")
-    stages = algo.take("stages", int, positive=True)
-    stage_iters = algo.take("stage_iters", int, positive=True)
-    step = algo.take("step", float, positive=True)
-    grad_tol = algo.take("grad_tol", float, default=1e-9, positive=True)
+    algo.take("stages", int, positive=True)
+    algo.take("stage_iters", int, positive=True)
+    algo.take("step", float, positive=True)
+    algo.take("grad_tol", float, default=1e-9, positive=True)
     algo.finish()
 
     plan = "compare" if command == "compare" else method
-    given = {"rho": rho, "max_iters": max_iters, "stages": stages,
-             "stage_iters": stage_iters, "step": step}
     for key in _REQUIRED[plan]:
-        if given[key] is None:
+        if values[key] is None:
             raise ConfigError(f"[algorithm] {key} is required here")
-    if plan == "eadmm" and max_iters is not None:
+    if plan == "eadmm" and values["max_iters"] is not None:
         raise ConfigError(
             "[algorithm] max_iters is derived from the stage plan for eadmm"
         )
@@ -239,40 +239,12 @@ def parse_config(path, command="run"):
             "needs the zero w-regularizer)"
         )
 
-    trace_file = None
-    summary_file = None
-    zero_wall = False
-    if "output" in present:
-        output = _Section("output", parser["output"])
-        trace_file = output.take("trace_file", str)
-        summary_file = output.take("summary_file", str)
-        zero_wall = output.take("zero_wall", _parse_bool, default=False)
-        output.finish()
-
-    return RunSettings(
-        kind=kind,
-        noise_level=noise_level,
-        seed=seed,
-        measurement_ratio=ratio,
-        gamma=gamma,
-        linf_weight=linf_weight,
-        generator_path=gen_file,
-        method=method,
-        rho=rho,
-        alpha=alpha,
-        beta=beta,
-        sigma0=sigma0,
-        tau_c=tau_c,
-        max_iters=max_iters,
-        geometry_pairs=pairs,
-        stages=stages,
-        stage_iters=stage_iters,
-        step=step,
-        grad_tol=grad_tol,
-        trace_file=trace_file,
-        summary_file=summary_file,
-        zero_wall=zero_wall,
-    )
+    output = _Section(parser, "output", values)
+    output.take("trace_file", str)
+    output.take("summary_file", str)
+    output.take("zero_wall", _parse_bool, default=False)
+    output.finish()
+    return RunSettings(**values)
 
 
 def open_generator(path):

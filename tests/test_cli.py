@@ -153,6 +153,17 @@ def test_run_missing_config(tmp_path, capsys):
     assert "error: config:" in capsys.readouterr().err
 
 
+def test_run_negative_seed_fails_before_the_generator_loads(tmp_path, capsys):
+    # no generator file: the seed check must come before the generator loads
+    text = BASE.format(trace=tmp_path / "t.csv").replace("seed = 1", "seed = -1")
+    assert main(["run", str(write_config(tmp_path, text))]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: config: [problem] seed must be nonnegative"
+    ]
+
+
 def test_run_numerical_error(tmp_path, capsys):
     write_generator(tmp_path)
     text = BASE.format(trace=tmp_path / "t.csv").replace(
@@ -249,6 +260,17 @@ def test_compare_on_denoise_linf_fails_before_writing(tmp_path, capsys):
         "error: config: [problem] kind denoise_linf cannot run eadmm (its exact "
         "w step needs the zero w-regularizer)"
     ]
+
+
+def test_compare_that_cannot_write_its_summary_prints_nothing(tmp_path, capsys):
+    write_generator(tmp_path)
+    cfg, out = write_config(tmp_path, COMPARE), tmp_path / "o"
+    (out / "summary.csv").mkdir(parents=True)
+    assert main(["compare", str(cfg), "--out-dir", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: config:")
 
 
 # sha256 of the shipped reference runs; solver or writer changes that move a
@@ -494,6 +516,17 @@ def test_plateau_sweep(tmp_path, capsys):
     assert "rho=1" in stdout and "rho=4" in stdout
 
 
+def test_plateau_sweep_that_cannot_write_its_csv_prints_nothing(tmp_path, capsys):
+    _, gen_path = write_generator(tmp_path, sizes=(2, 6), kinds=("elu",), scale=0.8)
+    out_csv = tmp_path / "missing_dir" / "p.csv"
+    argv = ["--rho-values", "1,4", "--iters", "200", "--out", str(out_csv)]
+    assert main(["plateau-sweep", "--generator", str(gen_path), *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: config:")
+
+
 def test_plateau_sweep_single_rho(tmp_path, capsys):
     _, gen_path = write_generator(tmp_path)
     rc = main(["plateau-sweep", "--generator", str(gen_path), "--rho-values", "1"])
@@ -549,6 +582,28 @@ def test_tune_gd_rejects_infinite_step_with_one_line(tmp_path, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: config:")
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["estimate-geometry", "--pairs", "50"], "--seed", "-3"),
+        (["tune-gd", "--steps", "0.05"], "--seed", "-1"),
+        (["tune-gd", "--steps", "0.05"], "--start-seed", "-2"),
+        (["plateau-sweep", "--rho-values", "1,2"], "--seeds", "0,-4"),
+    ],
+)
+def test_seed_flags_name_a_negative_seed(tmp_path, capsys, argv, flag, value):
+    # numpy's own error for a negative seed names neither the flag nor the value
+    _, gen_path = write_generator(tmp_path)
+    command, *rest = argv
+    assert main([command, "--generator", str(gen_path), *rest, flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    negative = value.rsplit(",", 1)[-1]
+    assert captured.err.splitlines() == [
+        f"error: config: argument {flag}: seed {negative!r} is negative"
+    ]
 
 
 def test_module_entry_point(tmp_path):

@@ -1,12 +1,23 @@
 """Tests for the INI run-configuration layer."""
 
+import dataclasses
 import re
+import string
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from priorsolve.config import ConfigError, load_problem, parse_config, solver_settings
+from priorsolve.config import (
+    METHODS,
+    ConfigError,
+    load_problem,
+    parse_config,
+    solver_settings,
+)
 from priorsolve.generator import estimate_geometry, save_generator
+from priorsolve.harness import INSTANCE_KINDS
 from priorsolve.losses import QuadraticDenoise, ScaledQuadratic
 
 from helpers import random_net
@@ -176,7 +187,7 @@ def test_compare_relaxes_method(tmp_path):
     )
     cfg = parse_config(write_config(tmp_path, text), command="compare")
     assert cfg.method is None
-    assert cfg.step is None  # filled from the splitting step size at run time
+    assert cfg.step is None  # filled with 1/(nu_L kappa_hat^2) at run time
     # compare still needs the stage plan for its multi-scale leg
     with pytest.raises(ConfigError, match="stages"):
         parse_config(
@@ -292,3 +303,102 @@ def test_solver_settings_gd_step_fallback(tmp_path):
         given = text.replace("rho = 0.5", "rho = 0.5\nstep = 0.3" + extra)
         cfg = parse_config(write_config(tmp_path, given), command="compare")
         assert solver_settings(cfg, loaded, inst, "gd").step == 0.3
+
+
+# the documented defaults of every setting a file may omit, by section
+DEFAULTS = {
+    "problem": {"noise_level": 0.0, "seed": 0, "measurement_ratio": 0.5,
+                "gamma": 0.01, "linf_weight": 1.0},
+    "algorithm": {"method": None, "rho": None, "alpha": None, "beta": None,
+                  "sigma0": 0.2, "tau_c": 1e-12, "max_iters": None,
+                  "geometry_pairs": 2000, "stages": None, "stage_iters": None,
+                  "step": None, "grad_tol": 1e-9},
+    "output": {"trace_file": None, "summary_file": None, "zero_wall": False},
+}
+SECTION_OF = {key: name for name, keys in DEFAULTS.items() for key in keys}
+SECTION_OF["kind"] = "problem"
+# [algorithm] keys that a command (compare) or method (run) requires
+REQUIRED = {
+    "compare": ("rho", "max_iters", "stages", "stage_iters"),
+    "gd": ("step", "max_iters"),
+    "admm": ("rho", "max_iters"),
+    "eadmm": ("rho", "stages", "stage_iters"),
+}
+POSITIVE_KEYS = ("gamma", "linf_weight", "rho", "alpha", "beta", "sigma0", "tau_c",
+                 "max_iters", "stages", "stage_iters", "step", "grad_tol")
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+positive_int = st.integers(1, 10**9)
+file_name = st.text(string.ascii_letters + string.digits + "._/-", min_size=1,
+                    max_size=12)
+
+
+@st.composite
+def valid_configs(draw):
+    """(command, {key: value}) for a file that parse_config accepts: each
+    required key set, each optional one absent or set."""
+    command = draw(st.sampled_from(["run", "compare"]))
+    if command == "run":
+        plan = method = draw(st.sampled_from(METHODS))
+    else:
+        plan, method = "compare", draw(st.sampled_from((None, *METHODS)))
+    linf_ok = plan in ("gd", "admm")  # the exact w step rejects denoise_linf
+    kind = draw(st.sampled_from(
+        [k for k in INSTANCE_KINDS if linf_ok or k != "denoise_linf"]
+    ))
+    optional = {
+        "noise_level": st.floats(0.0, 1e6), "seed": st.integers(0, 2**32 - 1),
+        "rho": positive, "alpha": positive, "beta": positive, "sigma0": positive,
+        "tau_c": positive, "max_iters": positive_int,
+        "geometry_pairs": st.integers(2, 10**6), "stages": positive_int,
+        "stage_iters": positive_int, "step": positive, "grad_tol": positive,
+        "trace_file": file_name, "summary_file": file_name,
+        "zero_wall": st.booleans(),
+    }
+    if kind == "compressive_sensing":
+        optional["measurement_ratio"] = st.floats(0.0, 1.0, exclude_min=True)
+    if kind == "denoise_linf":
+        optional["gamma"] = optional["linf_weight"] = positive
+    if plan == "eadmm":
+        del optional["max_iters"]  # derived from the stage plan
+    values = {"kind": kind} if method is None else {"kind": kind, "method": method}
+    for key, strategy in optional.items():
+        if key in REQUIRED[plan] or draw(st.booleans()):
+            values[key] = draw(strategy)
+    return command, values
+
+
+def write_values(tmp_path, values):
+    lines = {"problem": [], "generator": ["file = gen.json"], "algorithm": [],
+             "output": []}
+    for key, value in values.items():
+        text = repr(value) if isinstance(value, float) else str(value)
+        lines[SECTION_OF[key]].append(f"{key} = {text}")
+    if not lines["output"]:
+        del lines["output"]  # a missing [output] parses as an empty one
+    text = "\n".join(f"[{name}]\n" + "\n".join(body) for name, body in lines.items())
+    return write_config(tmp_path, text + "\n")
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(valid_configs())
+def test_parse_config_round_trips_every_setting(tmp_path, config):
+    command, values = config
+    parsed = parse_config(write_values(tmp_path, values), command=command)
+    expected = {key: value for section in DEFAULTS.values()
+                for key, value in section.items()}
+    expected.update(values, generator_path=str(tmp_path / "gen.json"))
+    assert dataclasses.asdict(parsed) == expected
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(valid_configs(), st.data())
+def test_a_bad_positive_value_is_one_error_naming_its_key(tmp_path, config, data):
+    command, values = config
+    keys = [k for k in POSITIVE_KEYS
+            if values["kind"] == "denoise_linf" or k not in ("gamma", "linf_weight")]
+    key = data.draw(st.sampled_from(keys))
+    values[key] = data.draw(st.sampled_from(["0", "-1", "nan", "inf", "abc"]))
+    with pytest.raises(ConfigError, match=rf"^\[{SECTION_OF[key]}\] {key}(:| must)"):
+        parse_config(write_values(tmp_path, values), command=command)
