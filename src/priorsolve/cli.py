@@ -4,12 +4,14 @@ Subcommands:
 
 ``run CONFIG``
     Solve one configured instance and write the trace / summary files named
-    in the config's [output] section.  Prints a one-line result.
+    in the config's [output] section.  Prints a one-line result whose
+    stop=tol or stop=budget says how the run ended.
 ``compare CONFIG [--out-dir DIR]``
     Run the gradient baseline and both splitting variants on the same
     planted instance from one start.  Writes gd_trace.csv, admm_trace.csv,
     eadmm_trace.csv and summary.csv into the output directory with wall
-    clocks zeroed, so repeated invocations are byte-identical.
+    clocks zeroed, so repeated invocations are byte-identical.  Prints one
+    result line per solver, ending in stop= as run's does.
 ``estimate-geometry --generator FILE``
     Print the sampled geometry constants and the step sizes they suggest as
     key=value lines.
@@ -126,7 +128,8 @@ def _print_result(algo, trace):
     last = trace.records[-1]
     print(
         f"method={algo} rows={len(trace)} "
-        f"final_obj={_fmt(last.objective)} final_gap={_fmt(last.feas_gap)}"
+        f"final_obj={_fmt(last.objective)} final_gap={_fmt(last.feas_gap)} "
+        f"stop={trace.stop_reason}"
     )
 
 
@@ -185,7 +188,8 @@ def cmd_compare(args):
         last = trace.records[-1]
         print(
             f"algo={algo} iters={len(trace)} "
-            f"final_obj={_fmt(last.objective)} final_gap={_fmt(last.feas_gap)}"
+            f"final_obj={_fmt(last.objective)} final_gap={_fmt(last.feas_gap)} "
+            f"stop={trace.stop_reason}"
         )
     return 0
 

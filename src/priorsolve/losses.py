@@ -7,10 +7,11 @@ evaluation where they share work), and convexity_constants() returning
     (mu/2) ||v - w||^2 <= L(v) - L(w) - <grad L(w), v - w> <= (nu/2) ||v - w||^2.
 
 For the least-squares loss the constants are the extreme eigenvalues of
-A^T A, obtained from a lazily cached SVD of A; when A has a nontrivial
-null space (fewer rows than columns, or numerically rank deficient) mu is
-reported as exactly 0 and strong convexity only holds on the row space,
-so rate diagnostics that rely on mu > 0 should be skipped.
+A^T A, from a lazily cached SVD of A (a wide A is factored through A A^T,
+see LeastSquares.svd); when A has a nontrivial null space (fewer rows than
+columns, or numerically rank deficient) mu is reported as exactly 0 and
+strong convexity only holds on the row space, so rate diagnostics that
+rely on mu > 0 should be skipped.
 
 Each loss with a closed-form w step, w_minimizer(gz, lam, rho) =
 argmin_w L(w) + <lam, w - gz> + (rho/2) ||w - gz||^2, documents its own;
@@ -110,8 +111,8 @@ class ScaledQuadratic(SmoothLoss):
     """
 
     def __init__(self, target, gamma):
-        if gamma <= 0.0:
-            raise ValueError("gamma must be positive")
+        if not 0.0 < gamma < np.inf:  # also false for nan
+            raise ValueError("gamma must be positive and finite")
         self.target = np.asarray(target, dtype=float)
         if self.target.ndim != 1:
             raise ValueError("target must be a vector")
@@ -131,7 +132,7 @@ class ScaledQuadratic(SmoothLoss):
 
 
 class LeastSquares(SmoothLoss):
-    """L(w) = 0.5 ||A w - b||^2 with a lazily cached SVD of A and A^T b."""
+    """L(w) = 0.5 ||A w - b||^2, A and b finite, with lazily cached svd() and A^T b."""
 
     def __init__(self, matrix, rhs):
         self.matrix = np.asarray(matrix, dtype=float)
@@ -143,14 +144,28 @@ class LeastSquares(SmoothLoss):
                 f"rhs shape {self.rhs.shape} does not match "
                 f"{self.matrix.shape[0]} matrix rows"
             )
+        if not (np.isfinite(self.matrix).all() and np.isfinite(self.rhs).all()):
+            raise ValueError("measurement matrix and rhs must be finite")
         self.dim = self.matrix.shape[1]
         self._svd = None
         self._normal_rhs = None
 
     def svd(self):
-        """Reduced SVD (u, s, vt) of A, computed once on first use."""
+        """Reduced SVD (u, s, vt) of A, s descending, computed once on first
+        use.  A wide A (m < d) is factored through A A^T (Boyd et al. 2011,
+        4.2.4): eigh gives s^2 and u, vt = s^-1 u^T A, and eigenvalues at the
+        Gram's rounding floor are dropped (all of them for A = 0), so s > 0
+        and A = u s vt up to sqrt(d eps) s[0].  Tall A keeps np.linalg.svd:
+        mu > 0 is judged at RANK_TOL on s, below what s^2 resolves."""
         if self._svd is None:
-            self._svd = np.linalg.svd(self.matrix, full_matrices=False)
+            a = self.matrix
+            if a.shape[0] >= self.dim:
+                self._svd = np.linalg.svd(a, full_matrices=False)
+            else:
+                e, u = np.linalg.eigh(a @ a.T)  # ascending
+                keep = np.flatnonzero(e > self.dim * np.finfo(float).eps * e[-1])[::-1]
+                s, u = np.sqrt(e[keep]), u[:, keep]
+                self._svd = (u, s, (u.T @ a) / s[:, None])
         return self._svd
 
     def normal_rhs(self):
@@ -175,14 +190,14 @@ class LeastSquares(SmoothLoss):
         return 0.5 * float(np.sum(r * r)), self.matrix.T @ r
 
     def w_minimizer(self, gz, lam, rho):
-        """(A^T A + rho I)^{-1} (A^T b - lam + rho gz) through the cached SVD
-        of A; directions outside the row space are simply scaled by 1/rho,
-        so rank-deficient and underdetermined A work unchanged."""
+        """(A^T A + rho I)^{-1} r, r = A^T b - lam + rho gz, through the
+        cached svd(): r / rho + V ((1 / (s^2 + rho) - 1 / rho) V^T r), two
+        products with V.  Directions outside the row space are simply scaled
+        by 1/rho, so rank-deficient and underdetermined A work unchanged."""
         _, s, vt = self.svd()
         rhs = self.normal_rhs() - lam + rho * gz
         coeff = vt @ rhs
-        w = vt.T @ (coeff / (s * s + rho))
-        return w + (rhs - vt.T @ coeff) / rho
+        return rhs / rho + vt.T @ (coeff * (1.0 / (s * s + rho) - 1.0 / rho))
 
     @property
     def strongly_convex(self):
@@ -192,6 +207,6 @@ class LeastSquares(SmoothLoss):
 
     def convexity_constants(self):
         _, s, _ = self.svd()
-        nu = float(s[0] ** 2)
+        nu = float(s[0] ** 2) if s.size else 0.0
         mu = float(s[-1] ** 2) if self.strongly_convex else 0.0
         return (mu, nu)

@@ -92,6 +92,8 @@ def test_run_admm(tmp_path, capsys):
     assert main(["run", str(cfg)]) == 0
     out = capsys.readouterr().out
     assert "method=admm" in out and "rows=" in out and "final_gap=" in out
+    # 30 iterations are too few for tau_c, so the run ends on its budget
+    assert out.endswith(" stop=budget\n")
     trace = read_trace_csv(trace_path)
     assert 1 <= len(trace) <= 30
     # planted instance: distance columns are filled
@@ -105,7 +107,8 @@ def test_run_gd(tmp_path, capsys):
     text = text.replace("rho = 0.5", "step = 0.1")
     cfg = write_config(tmp_path, text)
     assert main(["run", str(cfg)]) == 0
-    assert "method=gd" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "method=gd" in out and out.endswith(" stop=budget\n")
     assert trace_path.exists()
 
 
@@ -116,6 +119,7 @@ def test_run_eadmm(tmp_path, capsys):
     text = text.replace("max_iters = 30", "stages = 2\nstage_iters = 4")
     cfg = write_config(tmp_path, text)
     assert main(["run", str(cfg)]) == 0
+    assert capsys.readouterr().out.endswith(" stop=budget\n")
     trace = read_trace_csv(trace_path)
     assert 1 <= len(trace) <= 4 * (2 + 4)
 
@@ -214,8 +218,8 @@ def test_compare_writes_aligned_artifacts(tmp_path, capsys):
     out_a = tmp_path / "a"
     assert main(["compare", str(cfg), "--out-dir", str(out_a)]) == 0
     out = capsys.readouterr().out
-    for algo in ("gd", "admm", "eadmm"):
-        assert f"algo={algo}" in out
+    for algo, line in zip(("gd", "admm", "eadmm"), out.splitlines(), strict=True):
+        assert line.startswith(f"algo={algo} ") and line.endswith(" stop=budget")
         assert (out_a / f"{algo}_trace.csv").exists()
     summary = (out_a / "summary.csv").read_text().splitlines()
     assert summary[0] == "algo,final_obj,final_gap,iters,wall_ns,eta_hat,plateau"
@@ -225,6 +229,58 @@ def test_compare_writes_aligned_artifacts(tmp_path, capsys):
     assert main(["compare", str(cfg), "--out-dir", str(out_b)]) == 0
     for name in ("gd_trace.csv", "admm_trace.csv", "eadmm_trace.csv", "summary.csv"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+# a wide 4 x 8 measurement matrix, so every exact w step goes through the
+# factorization of A A^T; gd and admm stop on tolerance, eadmm on its budget
+COMPARE_CS = """\
+[problem]
+kind = compressive_sensing
+measurement_ratio = 0.5
+noise_level = 0.0
+seed = 1
+
+[generator]
+file = gen.json
+
+[algorithm]
+rho = 1.0
+sigma0 = 1e-4
+max_iters = 1500
+geometry_pairs = 200
+stages = 2
+stage_iters = 40
+step = 0.2
+"""
+# summary.csv rows of COMPARE_CS recorded with the full SVD of A and the
+# three-product w step; wall_ns is zeroed
+COMPARE_CS_SUMMARY = {
+    "gd": (3.013063384232442e-18, 0.0, 549, 0, 0.9372721659380686, 0.0),
+    "admm": (1.9559439616422011e-10, 9.909552126838817e-05, 919, 0,
+             0.9786330441119961, 0.0),
+    "eadmm": (5.096810870145046e-07, 0.0003637114439479172, 240, 0,
+              0.9677592987539895, 0.0),
+}
+
+
+def test_compare_pins_a_small_compressive_sensing_run(tmp_path, capsys):
+    write_generator(tmp_path)
+    cfg, out = write_config(tmp_path, COMPARE_CS), tmp_path / "o"
+    assert main(["compare", str(cfg), "--out-dir", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    stops = {"gd": "tol", "admm": "tol", "eadmm": "budget"}
+    for (algo, row), line in zip(COMPARE_CS_SUMMARY.items(), lines, strict=True):
+        assert line.startswith(f"algo={algo} iters={row[2]} ")
+        assert line.endswith(f" stop={stops[algo]}")
+    summary = (out / "summary.csv").read_text().splitlines()
+    assert summary[0] == "algo,final_obj,final_gap,iters,wall_ns,eta_hat,plateau"
+    got = {algo: cells for algo, *cells in (line.split(",") for line in summary[1:])}
+    assert list(got) == list(COMPARE_CS_SUMMARY)
+    for algo, want in COMPARE_CS_SUMMARY.items():
+        assert [int(c) for c in got[algo][2:4]] == list(want[2:4])
+        np.testing.assert_allclose(
+            [float(c) for c in got[algo]], want, rtol=1e-8, atol=0.0
+        )
 
 
 def test_compare_numerical_error_keeps_finished_and_partial_traces(

@@ -76,16 +76,41 @@ def test_least_squares_rank_deficient_reports_no_strong_convexity():
     assert not wide.strongly_convex
     tall = LeastSquares(rng.standard_normal((6, 3)), rng.standard_normal(6))
     assert tall.strongly_convex
+    # wide and rank deficient: nu is still the top eigenvalue of A^T A
+    a = rng.standard_normal((4, 7))
+    a[3] = a[0] - 2.0 * a[1]  # dependent row
+    ls = LeastSquares(a, rng.standard_normal(4))
+    mu, nu = ls.convexity_constants()
+    assert mu == 0.0 and not ls.strongly_convex
+    assert abs(nu - np.linalg.eigvalsh(a.T @ a)[-1]) <= 1e-10 * max(1.0, nu)
+    assert ls.svd()[1].size == 3
+    # A = 0: no curvature at all, and the w step only scales by 1/rho
+    for shape in ((3, 5), (5, 3)):
+        zero = LeastSquares(np.zeros(shape), rng.standard_normal(shape[0]))
+        assert zero.convexity_constants() == (0.0, 0.0)
+        assert not zero.strongly_convex
+        gz, lam = rng.standard_normal(shape[1]), rng.standard_normal(shape[1])
+        np.testing.assert_array_equal(
+            zero.w_minimizer(gz, lam, 2.0), (zero.normal_rhs() - lam + 2.0 * gz) / 2.0
+        )
 
 
 def test_svd_cache_is_lazy_and_stable():
     rng = RNG(4)
-    ls = LeastSquares(rng.standard_normal((6, 4)), rng.standard_normal(6))
-    assert ls._svd is None
-    first = ls.svd()
-    assert ls.svd() is first
-    u, s, vt = first
-    np.testing.assert_allclose(u * s @ vt, ls.matrix, atol=1e-12)
+    deficient = rng.standard_normal((4, 9))
+    deficient[2] = deficient[1]  # rank 3
+    # tall (np.linalg.svd), then wide, A = 0 and rank-deficient wide (eigh of A A^T)
+    for a in (rng.standard_normal((6, 4)), rng.standard_normal((4, 6)),
+              np.zeros((3, 5)), deficient):
+        ls = LeastSquares(a, rng.standard_normal(a.shape[0]))
+        assert ls._svd is None
+        first = ls.svd()
+        assert ls.svd() is first
+        u, s, vt = first
+        assert u.shape == (a.shape[0], s.size) and vt.shape == (s.size, a.shape[1])
+        assert np.all(np.diff(s) <= 0.0)
+        np.testing.assert_allclose(u.T @ u, np.eye(s.size), atol=1e-12)
+        np.testing.assert_allclose(u * s @ vt, ls.matrix, atol=1e-12)
 
 
 def test_bregman_sandwich():
@@ -119,7 +144,15 @@ def test_validation():
         ScaledQuadratic(np.zeros(2), gamma=0.0)
     with pytest.raises(ValueError):
         ScaledQuadratic(np.zeros(2), gamma=-1.0)
+    for gamma in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ScaledQuadratic(np.zeros(2), gamma=gamma)
     with pytest.raises(ValueError):
         LeastSquares(np.ones((3, 2)), np.ones(4))  # shape mismatch
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            LeastSquares(np.full((2, 4), bad), np.ones(2))
+        with pytest.raises(ValueError, match="finite"):
+            LeastSquares(np.ones((2, 4)), np.array([1.0, bad]))
     with pytest.raises(ValueError):
         QuadraticDenoise(np.zeros(3)).value(np.zeros(2))

@@ -2,8 +2,9 @@
 change no bit of the results, a batch of latents, like a (B, d) stack of
 iterates in the Lagrangian formulas, is evaluated row by row, and the batched
 geometry estimate agrees with its per-pair form, equals its one-point-at-a-time
-draws exactly and extends its own smaller samples, and the ELU derivative
-equals its piecewise form."""
+draws exactly and extends its own smaller samples, the ELU derivative
+equals its piecewise form, and the exact w step of a wide least-squares loss
+solves its normal equations."""
 
 import math
 
@@ -304,3 +305,44 @@ def test_value_and_grad_equals_value_then_grad(data):
     value, grad = loss.value_and_grad(w)
     assert value == loss.value(w)
     np.testing.assert_array_equal(grad, loss.grad(w))
+
+
+@st.composite
+def wide_least_squares(draw):
+    """A wide m x d A = U diag(s) V^T (m < d) with orthonormal U, V: full
+    rank, rank deficient (trailing singular values exactly 0), and with
+    condition numbers up to 1e12 among its nonzero singular values."""
+    m = draw(st.integers(1, 12))
+    d = draw(st.integers(m + 1, 30))
+    rank = draw(st.integers(1, m))
+    top = draw(st.floats(0.5, 5.0))
+    cond = 10.0 ** draw(st.floats(0.0, 12.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = np.linalg.qr(rng.standard_normal((m, m)))[0]
+    v = np.linalg.qr(rng.standard_normal((d, m)))[0]
+    s = np.zeros(m)
+    s[:rank] = top * np.geomspace(1.0, 1.0 / cond, rank)
+    return LeastSquares((u * s) @ v.T, vectors(draw, m)), rng
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_least_squares(), st.floats(0.1, 10.0))
+def test_wide_exact_w_step_solves_its_normal_equations(case, rho):
+    """The w step through the factorization of A A^T meets acceptance 03's
+    tolerances on ill-conditioned and rank-deficient A: first-order residual
+    and gap to a dense solve <= 1e-10; its factors are a reduced SVD with s
+    positive and descending, orthonormal u and nu = max eig A^T A."""
+    loss, rng = case
+    a, d = loss.matrix, loss.dim
+    gz, lam = rng.standard_normal(d), rng.standard_normal(d)
+    w = exact_w_min(loss, gz, lam, rho)
+    residual = a.T @ (a @ w - loss.rhs) + lam + rho * (w - gz)
+    assert np.linalg.norm(residual) <= 1e-10
+    dense = np.linalg.solve(a.T @ a + rho * np.eye(d), a.T @ loss.rhs - lam + rho * gz)
+    assert np.linalg.norm(w - dense) <= 1e-10
+    u, s, _ = loss.svd()
+    assert np.all(s > 0.0) and np.all(np.diff(s) <= 0.0)
+    assert np.abs(u.T @ u - np.eye(s.size)).max() <= 1e-12
+    mu, nu = loss.convexity_constants()
+    top = np.linalg.eigvalsh(a.T @ a)[-1]
+    assert mu == 0.0 and abs(nu - top) <= 1e-10 * max(1.0, nu)
