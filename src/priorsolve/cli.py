@@ -26,7 +26,8 @@ failure emits a single machine-readable line ``error: <category>: <detail>``
 on standard error; floating-point traps during a diverging run surface
 through the exit-2 path rather than as warnings.  A ``run`` or ``compare``
 that fails numerically still writes the rows each solver completed to its
-trace file (``compare`` then writes no summary).
+trace file (``compare`` then writes no summary).  The trace module writes
+every CSV artifact and formats every float printed; this module opens no file.
 """
 
 import argparse
@@ -50,7 +51,7 @@ from .gd import run_gd, tune_gd_step
 from .generator import estimate_geometry
 from .harness import DegenerateTrace, best_lagrangian, build_instance, fit_rate
 from .harness import plateau_vs_rho
-from .trace import write_summary_csv, write_trace_csv
+from .trace import _format, write_summary_csv, write_trace_csv
 
 __all__ = ["main"]
 
@@ -102,10 +103,6 @@ def _seed_list(raw):
     return tuple(map(_seed, parts))
 
 
-def _fmt(value):
-    return repr(float(value))
-
-
 def _summary_row(algo, trace, wall_ns):
     last = trace.records[-1]
     try:
@@ -128,7 +125,7 @@ def _print_result(algo, trace):
     last = trace.records[-1]
     print(
         f"method={algo} rows={len(trace)} "
-        f"final_obj={_fmt(last.objective)} final_gap={_fmt(last.feas_gap)} "
+        f"final_obj={_format(last.objective)} final_gap={_format(last.feas_gap)} "
         f"stop={trace.stop_reason}"
     )
 
@@ -188,7 +185,7 @@ def cmd_compare(args):
         last = trace.records[-1]
         print(
             f"algo={algo} iters={len(trace)} "
-            f"final_obj={_fmt(last.objective)} final_gap={_fmt(last.feas_gap)} "
+            f"final_obj={_format(last.objective)} final_gap={_format(last.feas_gap)} "
             f"stop={trace.stop_reason}"
         )
     return 0
@@ -200,14 +197,14 @@ def cmd_estimate_geometry(args):
     # suggest_step_sizes reads only the smoothness constant of the loss
     loss = SimpleNamespace(convexity_constants=lambda: (None, args.nu_loss))
     alpha, beta = suggest_step_sizes(loss, est.kappa_hat, args.rho)
-    print(f"iota_hat={_fmt(est.iota_hat)}")
-    print(f"kappa_hat={_fmt(est.kappa_hat)}")
-    print(f"nu_g_hat={_fmt(est.nu_g_hat)}")
+    print(f"iota_hat={_format(est.iota_hat)}")
+    print(f"kappa_hat={_format(est.kappa_hat)}")
+    print(f"nu_g_hat={_format(est.nu_g_hat)}")
     print(f"n_pairs={est.n_pairs}")
     print(f"seed={est.seed}")
-    print(f"domain_radius={_fmt(est.domain_radius)}")
-    print(f"suggested_alpha={_fmt(alpha)}")
-    print(f"suggested_beta={_fmt(beta)}")
+    print(f"domain_radius={_format(est.domain_radius)}")
+    print(f"suggested_alpha={_format(alpha)}")
+    print(f"suggested_beta={_format(beta)}")
     return 0
 
 
@@ -222,17 +219,11 @@ def cmd_plateau_sweep(args):
         sigma0=args.sigma0,
     )
     if args.out is not None:
-        with open(args.out, "w", newline="") as fh:
-            fh.write("rho,gap_plateau,err_plateau\r\n")
-            for row in rows:
-                fh.write(
-                    f"{_fmt(row['rho'])},{_fmt(row['gap_plateau'])},"
-                    f"{_fmt(row['err_plateau'])}\r\n"
-                )
+        write_summary_csv(rows, args.out, ("rho", "gap_plateau", "err_plateau"))
     for row in rows:
         print(
-            f"rho={row['rho']:g} gap_plateau={_fmt(row['gap_plateau'])} "
-            f"err_plateau={_fmt(row['err_plateau'])}"
+            f"rho={row['rho']:g} gap_plateau={_format(row['gap_plateau'])} "
+            f"err_plateau={_format(row['err_plateau'])}"
         )
     return 0
 
@@ -246,8 +237,8 @@ def cmd_tune_gd(args):
         inst.problem.loss, gen, z0s, args.steps, args.budget
     )
     for step, score in scored:
-        print(f"step={_fmt(step)} score={_fmt(score)}")
-    print(f"best_step={_fmt(best)}")
+        print(f"step={_format(step)} score={_format(score)}")
+    print(f"best_step={_format(best)}")
     return 0
 
 

@@ -11,14 +11,16 @@ derivatives, sampled estimates of the near-isometry constants
 
 and of the strong-smoothness constant nu bounding the linearization
 remainder ||G(z') - G(z) - DG(z)(z' - z)|| <= (nu / 2) * ||z' - z||^2,
-plus a JSON description format.  A geometry estimate draws its points one
-at a time (only the random draws and each radial scalar), then scales them,
+plus a JSON description format whose key lists are each stated once, in the
+_fields call that checks them.  A geometry estimate draws its points one at
+a time (only the random draws and each radial scalar), then scales them,
 takes the pair distances, runs one batched forward pass and one batched JVP
 over all of them at once.
 """
 
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -67,8 +69,8 @@ class Activation:
                 f"unknown activation {self.kind!r}; expected one of {ACTIVATION_KINDS}"
             )
         if self.kind == "elu":
-            if self.elu_alpha <= 0.0:
-                raise ValueError("elu_alpha must be positive")
+            if not 0.0 < self.elu_alpha < math.inf:  # also false for nan
+                raise ValueError("elu_alpha must be positive and finite")
             if self.elu_alpha != 1.0:
                 warnings.warn(
                     "ELU with elu_alpha != 1 is only piecewise C1", stacklevel=2
@@ -114,12 +116,10 @@ class Layer:
     def __post_init__(self):
         w = np.asarray(self.weight, dtype=float)
         b = np.asarray(self.bias, dtype=float)
-        if w.ndim != 2:
-            raise ValueError("layer weight must be a matrix")
-        if b.shape != (w.shape[0],):
-            raise ValueError(
-                f"bias shape {b.shape} does not match weight rows {w.shape[0]}"
-            )
+        if w.ndim != 2 or not w.size or not np.isfinite(w).all():
+            raise ValueError("layer weight must be a finite non-empty matrix")
+        if b.shape != (w.shape[0],) or not np.isfinite(b).all():
+            raise ValueError(f"bias must hold {w.shape[0]} finite values, one per row")
         object.__setattr__(self, "weight", w)
         object.__setattr__(self, "bias", b)
 
@@ -399,35 +399,45 @@ def save_generator(gen, path):
         fh.write("\n")
 
 
-def _check_keys(doc, allowed, where):
-    extra = set(doc) - set(allowed)
-    if extra:
+def _fields(doc, where, required, optional=()):
+    """doc, once it is a JSON object with every required key and no key
+    outside required and optional."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    if extra := set(doc).difference(required, optional):
         raise ValueError(f"unknown key(s) {sorted(extra)} in {where}")
+    for key in required:
+        if key not in doc:
+            raise ValueError(f"{where} is missing {key!r}")
+    return doc
+
+
+def _number(value, where, kind=float):
+    if type(value) not in (int, kind) or not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{where} is not a finite {kind.__name__}")
+    return kind(value)
 
 
 def _materialize_layer(doc, index):
-    _check_keys(
-        doc,
-        ("activation", "elu_alpha", "bias", "init", "weights", "bias_values"),
-        f"layer {index}",
-    )
-    if "activation" not in doc:
-        raise ValueError(f"layer {index} is missing 'activation'")
-    act = Activation(doc["activation"], elu_alpha=doc.get("elu_alpha", 1.0))
+    doc = _fields(doc, f"layer {index}", ("activation",),
+                  ("elu_alpha", "bias", "init", "weights", "bias_values"))
+    alpha = _number(doc.get("elu_alpha", 1.0), f"layer {index} 'elu_alpha'")
+    act = Activation(doc["activation"], elu_alpha=alpha)
     if ("init" in doc) == ("weights" in doc):
         raise ValueError(f"layer {index} needs exactly one of 'init' or 'weights'")
     if "weights" in doc:
-        w = np.asarray(doc["weights"], dtype=float)
-        b = np.asarray(doc.get("bias_values", np.zeros(w.shape[0])), dtype=float)
+        try:
+            w = np.asarray(doc["weights"], dtype=float)
+            b = np.asarray(doc.get("bias_values", np.zeros(w.shape[:1])), dtype=float)
+        except TypeError as exc:  # a JSON object among the numbers
+            raise ValueError(f"layer {index}: {exc}") from None
         return Layer(w, b, act)
-    init = doc["init"]
-    _check_keys(init, ("kind", "rows", "cols", "seed", "scale"), f"layer {index} init")
-    for key in ("kind", "rows", "cols", "seed"):
-        if key not in init:
-            raise ValueError(f"layer {index} init is missing {key!r}")
-    rows, cols = int(init["rows"]), int(init["cols"])
-    scale = float(init.get("scale", 1.0))
-    rng = np.random.default_rng(int(init["seed"]))
+    init = _fields(doc["init"], f"layer {index} init", ("kind", "rows", "cols", "seed"),
+                   ("scale",))
+    rows, cols, seed = (_number(init[key], f"layer {index} init {key!r}", int)
+                        for key in ("rows", "cols", "seed"))
+    scale = _number(init.get("scale", 1.0), f"layer {index} init 'scale'")
+    rng = np.random.default_rng(seed)
     if init["kind"] == "uniform":
         w = rng.uniform(-scale, scale, size=(rows, cols)) / math.sqrt(cols)
     elif init["kind"] == "orthonormal":
@@ -445,20 +455,17 @@ def _materialize_layer(doc, index):
 
 
 def load_generator(path):
-    """Load a generator from its JSON description (explicit or seeded init)."""
+    """Load a generator from a JSON description; malformed ones raise ValueError."""
     with open(path) as fh:
-        doc = json.load(fh)
-    _check_keys(doc, ("schema", "input_dim", "domain_radius", "layers"), "generator file")
-    for key in ("schema", "input_dim", "domain_radius", "layers"):
-        if key not in doc:
-            raise ValueError(f"generator file is missing {key!r}")
+        doc = _fields(json.load(fh), "generator file",
+                      ("schema", "input_dim", "domain_radius", "layers"))
     if doc["schema"] != 1:
         raise ValueError(f"unsupported generator schema {doc['schema']!r}")
+    if not isinstance(doc["layers"], list):
+        raise ValueError("'layers' is not a list")
     layers = [_materialize_layer(d, i) for i, d in enumerate(doc["layers"])]
-    gen = FeedforwardGenerator(layers, float(doc["domain_radius"]))
-    if gen.input_dim != int(doc["input_dim"]):
-        raise ValueError(
-            f"declared input_dim {doc['input_dim']} does not match layers "
-            f"({gen.input_dim})"
-        )
+    gen = FeedforwardGenerator(layers, _number(doc["domain_radius"], "'domain_radius'"))
+    if gen.input_dim != _number(doc["input_dim"], "'input_dim'", int):
+        raise ValueError(f"declared input_dim {doc['input_dim']} does not match "
+                         f"layers ({gen.input_dim})")
     return gen

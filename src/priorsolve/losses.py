@@ -162,10 +162,12 @@ class LeastSquares(SmoothLoss):
             if a.shape[0] >= self.dim:
                 self._svd = np.linalg.svd(a, full_matrices=False)
             else:
-                e, u = np.linalg.eigh(a @ a.T)  # ascending
+                k = np.frexp(np.abs(a).max())[1]
+                b = np.ldexp(a, -k)  # exact; b b^T cannot overflow or underflow
+                e, u = np.linalg.eigh(b @ b.T)  # ascending
                 keep = np.flatnonzero(e > self.dim * np.finfo(float).eps * e[-1])[::-1]
                 s, u = np.sqrt(e[keep]), u[:, keep]
-                self._svd = (u, s, (u.T @ a) / s[:, None])
+                self._svd = (u, np.ldexp(s, k), (u.T @ b) / s[:, None])
         return self._svd
 
     def normal_rhs(self):

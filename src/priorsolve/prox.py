@@ -60,8 +60,8 @@ class Regularizer:
     @classmethod
     def linf(cls, weight, center=None):
         """weight * ||x - center||_inf (center defaults to the origin)."""
-        if weight <= 0.0:
-            raise ValueError("weight must be positive")
+        if not 0.0 < weight < np.inf:  # also false for nan
+            raise ValueError("weight must be positive and finite")
         if center is not None:
             center = np.asarray(center, dtype=float)
         return cls(kind="linf", weight=float(weight), center=center)
@@ -69,8 +69,8 @@ class Regularizer:
     @classmethod
     def ball(cls, center, radius):
         """Indicator of the Euclidean ball {x : ||x - center|| <= radius}."""
-        if radius <= 0.0:
-            raise ValueError("radius must be positive")
+        if not 0.0 < radius < np.inf:
+            raise ValueError("radius must be positive and finite")
         return cls(
             kind="ball", center=np.asarray(center, dtype=float), radius=float(radius)
         )
@@ -93,8 +93,8 @@ class Regularizer:
 
     def prox(self, v, t):
         """Proximal map of t * penalty at v."""
-        if t <= 0.0:
-            raise ValueError("prox step t must be positive")
+        if not 0.0 < t < np.inf:
+            raise ValueError("prox step t must be positive and finite")
         v = np.asarray(v, dtype=float)
         if self.kind == "zero":
             return v  # iterates are never written in place (admm.AdmmState)

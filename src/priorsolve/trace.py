@@ -1,4 +1,4 @@
-"""Per-iteration run traces and their CSV serialization.
+"""Per-iteration run traces, and the one writer of every CSV artifact.
 
 One record per iteration with a fixed column set:
 
@@ -7,8 +7,9 @@ One record per iteration with a fixed column set:
 
 dist_w / dist_z are distances to a planted solution and stay blank when no
 planted solution is known.  wall_ns is the cumulative wall time since the
-start of the run.  Floats are written with repr (shortest round-trip
-form), so parsing an emitted file reproduces the in-memory values exactly.
+start of the run.  Traces, summary.csv and plateaus.csv share one format:
+CRLF rows under a header, None blank, ints and strings as they are, floats
+by repr (shortest round-trip form, so reading reproduces them exactly).
 """
 
 import csv
@@ -106,7 +107,7 @@ class RunTrace:
 def _format(value):
     if value is None:
         return ""
-    if isinstance(value, int):
+    if isinstance(value, (int, str)):
         return str(value)
     return repr(float(value))
 
@@ -155,16 +156,14 @@ def read_trace_csv(path):
     return trace
 
 
-def write_summary_csv(rows, path):
-    """Write one summary row per algorithm; rows are dicts keyed by
-    SUMMARY_COLUMNS, with None for fields that do not apply."""
+def write_summary_csv(rows, path, columns=SUMMARY_COLUMNS):
+    """Write one row per dict in rows (by default one per algorithm) under
+    the header columns; a key outside columns raises ValueError."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(SUMMARY_COLUMNS)
+        writer.writerow(columns)
         for row in rows:
-            extra = set(row) - set(SUMMARY_COLUMNS)
+            extra = set(row) - set(columns)
             if extra:
-                raise ValueError(f"unknown summary field(s) {sorted(extra)}")
-            algo = row.get("algo")
-            numbers = [_format(row.get(name)) for name in SUMMARY_COLUMNS[1:]]
-            writer.writerow(["" if algo is None else str(algo)] + numbers)
+                raise ValueError(f"unknown field(s) {sorted(extra)} for {columns}")
+            writer.writerow([_format(row.get(name)) for name in columns])

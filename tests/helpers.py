@@ -1,6 +1,8 @@
 """Shared builders for the test suite."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -17,6 +19,22 @@ def random_net(seed, sizes=(2, 5, 8), kinds=("elu", "tanh"), scale=1.0, radius=3
         b = 0.1 * rng.standard_normal(cout)
         layers.append(Layer(w, b, Activation(kind)))
     return FeedforwardGenerator(layers, domain_radius=radius)
+
+
+REFERENCE_GENERATOR = (
+    Path(__file__).resolve().parent.parent / "configs" / "reference_generator.json"
+)
+
+
+def with_field(doc, path, value):
+    """A copy of the JSON document doc with the field at path (its keys and
+    list indices, outermost first) set to value."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
 
 
 def linear_generator(w, radius=2.0):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import re
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import priorsolve
 from priorsolve.cli import main
 from priorsolve.generator import (
     Activation,
@@ -19,7 +21,7 @@ from priorsolve.generator import (
 )
 from priorsolve.trace import read_trace_csv
 
-from helpers import random_net
+from helpers import REFERENCE_GENERATOR, random_net, with_field
 
 
 def write_generator(tmp_path, name="gen.json", seed=5, **kw):
@@ -544,6 +546,35 @@ def test_estimate_geometry_missing_file(tmp_path, capsys):
     assert "error: config:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        (("layers",), 5),
+        (("layers", 0), 5),
+        (("layers", 0, "elu_alpha"), None),
+        (("layers", 0, "elu_alpha"), "2"),
+        (("input_dim",), None),
+        (("layers", 0, "bias_values", 0), math.nan),
+        (("layers", 0, "weights", 0, 0), math.inf),
+    ],
+)
+def test_estimate_geometry_on_a_malformed_generator_file(
+    tmp_path, capsys, field, value
+):
+    # wrong-typed and non-finite (NaN, Infinity) JSON values in the reference
+    # description each give one config line, not a traceback or a misleading
+    # geometry error
+    doc = with_field(json.loads(REFERENCE_GENERATOR.read_text()), field, value)
+    path = tmp_path / "gen.json"
+    path.write_text(json.dumps(doc))
+    assert main(["estimate-geometry", "--generator", str(path), "--pairs", "50"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: config: cannot load generator:")
+
+
 def test_plateau_sweep(tmp_path, capsys):
     _, gen_path = write_generator(tmp_path, sizes=(2, 6), kinds=("elu",), scale=0.8)
     out_csv = tmp_path / "sweep.csv"
@@ -677,6 +708,10 @@ def test_module_entry_point(tmp_path):
         ],
         capture_output=True,
         text=True,
+        # the directory that holds the imported package, so the child finds
+        # it without PYTHONPATH (pytest's pythonpath setting reaches only
+        # this process)
+        cwd=Path(priorsolve.__file__).parent.parent,
     )
     assert proc.returncode == 0
     assert "kappa_hat=" in proc.stdout

@@ -1,11 +1,14 @@
 """Generator forward/derivative correctness against independent oracles."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_net
+from helpers import REFERENCE_GENERATOR, random_net, with_field
 from oracles import fd_grad, fd_jacobian, uniform_ball_point
 from priorsolve.generator import (
     DEGENERATE_PAIR_TOL,
@@ -63,6 +66,9 @@ def test_elu_alpha_validation_and_flag():
         Activation("elu", elu_alpha=0.0)
     with pytest.raises(ValueError):
         Activation("elu", elu_alpha=-1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            Activation("elu", elu_alpha=bad)
     with pytest.warns(UserWarning):
         Activation("elu", elu_alpha=2.0)
     with pytest.raises(ValueError):
@@ -168,6 +174,18 @@ def test_constructor_rejects_bad_shapes():
         FeedforwardGenerator([Layer(np.eye(2), np.zeros(2), act)], domain_radius=0.0)
     with pytest.raises(ValueError):
         FeedforwardGenerator([Layer(np.eye(2), np.zeros(3), act)], domain_radius=1.0)
+
+
+def test_layer_rejects_non_finite_or_empty_parameters():
+    act = Activation("identity")
+    w, b = np.eye(3, 2), np.zeros(3)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Layer(np.where(w == 1.0, bad, w), b, act)
+        with pytest.raises(ValueError, match="finite"):
+            Layer(w, np.full(3, bad), act)
+    with pytest.raises(ValueError, match="non-empty"):
+        Layer(np.zeros((3, 0)), b, act)
 
 
 def test_constructor_rejects_rank_deficient_weight():
@@ -322,3 +340,40 @@ def test_generator_file_rejects_unknown_keys(tmp_path):
     )
     with pytest.raises(ValueError):
         load_generator(path)
+
+
+REFERENCE_DOC = json.loads(REFERENCE_GENERATOR.read_text())
+# every field of the reference description, as a path of keys into it
+REFERENCE_FIELDS = [(key,) for key in REFERENCE_DOC] + [
+    ("layers", i, key)
+    for i, layer in enumerate(REFERENCE_DOC["layers"])
+    for key in layer
+]
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@pytest.fixture(scope="module")
+def scratch_json(tmp_path_factory):
+    return tmp_path_factory.mktemp("generator_fields") / "gen.json"
+
+
+@pytest.mark.filterwarnings("ignore:ELU with elu_alpha")
+@settings(max_examples=200, deadline=None)
+@given(field=st.sampled_from(REFERENCE_FIELDS), value=json_values)
+def test_any_json_value_in_any_field_loads_or_raises_value_error(
+    scratch_json, field, value
+):
+    """null, bools, numbers (NaN and +-Infinity included), strings, lists and
+    objects in place of one field of the reference description: the file
+    either loads or raises ValueError, never another exception."""
+    scratch_json.write_text(json.dumps(with_field(REFERENCE_DOC, field, value)))
+    try:
+        gen = load_generator(scratch_json)
+    except ValueError:
+        return
+    assert isinstance(gen, FeedforwardGenerator)

@@ -111,6 +111,13 @@ def test_svd_cache_is_lazy_and_stable():
         assert np.all(np.diff(s) <= 0.0)
         np.testing.assert_allclose(u.T @ u, np.eye(s.size), atol=1e-12)
         np.testing.assert_allclose(u * s @ vt, ls.matrix, atol=1e-12)
+    # a wide A's Gram matrix is formed at a power-of-two scale, so a huge or a
+    # tiny A neither overflows nor loses its spectrum
+    a = rng.standard_normal((3, 6))
+    for scale in (1e154, 1e160, 1e-160, 1e-170):
+        s = LeastSquares(scale * a, np.zeros(3)).svd()[1]
+        want = np.linalg.svd(scale * a, compute_uv=False)
+        np.testing.assert_allclose(s, want, rtol=1e-12, atol=0)
 
 
 def test_bregman_sandwich():

@@ -31,12 +31,15 @@ def test_evaluate_reference_values():
 
 
 def test_parameter_validation():
-    with pytest.raises(ValueError):
-        Regularizer.linf(-1.0)
-    with pytest.raises(ValueError):
-        Regularizer.ball(np.zeros(2), 0.0)
-    with pytest.raises(ValueError):
-        Regularizer.zero().prox(np.zeros(2), 0.0)
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            Regularizer.linf(bad)
+    for bad in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            Regularizer.ball(np.zeros(2), bad)
+        for kind in ALL_KINDS:
+            with pytest.raises(ValueError):
+                random_regularizer(RNG(0), kind, 2).prox(np.zeros(2), bad)
 
 
 def test_prox_zero_is_identity():

@@ -192,3 +192,36 @@ def test_summary_writer(tmp_path):
     assert lines[2] == "admm,0.25,0.0001,12,0,,"
     with pytest.raises(ValueError):
         write_summary_csv([{"algo": "x", "bogus": 1}], path)
+
+
+table_cells = (
+    st.text()
+    | st.none()
+    | st.integers()
+    | st.floats()
+    | st.floats().map(np.float64)
+)
+
+
+@st.composite
+def tables(draw):
+    columns = tuple(draw(st.lists(st.text(), min_size=1, max_size=5, unique=True)))
+    row = st.fixed_dictionaries({}, optional={name: table_cells for name in columns})
+    return columns, draw(st.lists(row, max_size=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=tables(), stray=st.text())
+def test_table_writer_round_trips_through_csv_reader(scratch_csv, table, stray):
+    """Under any header, csv.reader gives back the header and the _format of
+    every cell (a missing key reads as a blank cell); a key outside the
+    header raises."""
+    columns, rows = table
+    write_summary_csv(rows, scratch_csv, columns)
+    with open(scratch_csv, newline="") as fh:
+        back = list(csv.reader(fh))
+    assert back[0] == list(columns)
+    assert back[1:] == [[_format(row.get(name)) for name in columns] for row in rows]
+    if stray not in columns:
+        with pytest.raises(ValueError):
+            write_summary_csv(rows + [{stray: 1.0}], scratch_csv, columns)
