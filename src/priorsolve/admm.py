@@ -60,7 +60,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .generator import _norm
-from .losses import UnsupportedLossError
+from .losses import UnsupportedLossError  # noqa: F401  (exact_w_min raises it)
 from .trace import RunTrace, StageInfo, TraceRecord
 
 __all__ = [
@@ -69,18 +69,12 @@ __all__ = [
     "MultiscaleSchedule",
     "NonFiniteError",
     "SplitProblem",
-    "UnsupportedLossError",
     "admm_step",
     "aug_lagrangian",
-    "dual_step_size",
-    "dual_update",
-    "exact_w_min",
     "grad_w_lagrangian",
     "grad_z_lagrangian",
     "initial_state",
     "run",
-    "run_multiscale",
-    "stopping_metric",
     "suggest_step_sizes",
 ]
 

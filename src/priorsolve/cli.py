@@ -40,6 +40,7 @@ import numpy as np
 
 from .admm import NonFiniteError, initial_state, run, suggest_step_sizes
 from .config import (
+    METHODS,
     ConfigError,
     load_problem,
     open_generator,
@@ -173,7 +174,7 @@ def cmd_compare(args):
     os.makedirs(args.out_dir, exist_ok=True)
     geometry = step_geometry(settings, gen)
     traces = {}
-    for algo in ("gd", "admm", "eadmm"):
+    for algo in METHODS:
         path = os.path.join(args.out_dir, f"{algo}_trace.csv")
         traces[algo] = _solve(algo, settings, gen, inst, path, zero_wall=True,
                               geometry=geometry)

@@ -56,16 +56,7 @@ from .gd import GdConfig
 from .generator import estimate_geometry, load_generator
 from .harness import INSTANCE_KINDS, build_instance
 
-__all__ = [
-    "METHODS",
-    "ConfigError",
-    "RunSettings",
-    "parse_config",
-    "open_generator",
-    "load_problem",
-    "step_geometry",
-    "solver_settings",
-]
+__all__ = ["ConfigError", "RunSettings", "parse_config", "load_problem"]
 
 METHODS = ("gd", "admm", "eadmm")
 
@@ -170,7 +161,8 @@ def parse_config(path, command="run"):
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
     except configparser.Error as exc:
-        raise ConfigError(f"malformed config file: {exc}") from None
+        detail = " ".join(str(exc).splitlines())
+        raise ConfigError(f"malformed config file: {detail}") from None
 
     known = {"problem", "generator", "algorithm", "output"}
     present = set(parser.sections())

@@ -32,7 +32,6 @@ __all__ = [
     "Layer",
     "FeedforwardGenerator",
     "GeometryEstimate",
-    "Tape",
     "estimate_geometry",
     "save_generator",
     "load_generator",

@@ -49,8 +49,6 @@ from .losses import LeastSquares, QuadraticDenoise, ScaledQuadratic
 from .prox import Regularizer
 
 __all__ = [
-    "INSTANCE_KINDS",
-    "EPS_FLOOR",
     "DegenerateTrace",
     "PlantedInstance",
     "RateFit",

@@ -18,6 +18,9 @@ argmin_w L(w) + <lam, w - gz> + (rho/2) ||w - gz||^2, documents its own;
 the SmoothLoss default raises UnsupportedLossError.
 """
 
+import math
+import sys
+
 import numpy as np
 
 from .generator import RANK_TOL
@@ -195,7 +198,8 @@ class LeastSquares(SmoothLoss):
         """(A^T A + rho I)^{-1} r, r = A^T b - lam + rho gz, through the
         cached svd(): r / rho + V ((1 / (s^2 + rho) - 1 / rho) V^T r), two
         products with V.  Directions outside the row space are simply scaled
-        by 1/rho, so rank-deficient and underdetermined A work unchanged."""
+        by 1/rho, so rank-deficient and underdetermined A work unchanged.
+        Where s*s overflows, 1/(s^2 + rho) is 0, its correct limit."""
         _, s, vt = self.svd()
         rhs = self.normal_rhs() - lam + rho * gz
         coeff = vt @ rhs
@@ -209,6 +213,9 @@ class LeastSquares(SmoothLoss):
 
     def convexity_constants(self):
         _, s, _ = self.svd()
+        if s.size and s[0] > math.sqrt(sys.float_info.max):
+            raise ValueError(
+                f"smoothness constant ||A||^2 overflows (||A|| = {s[0]:g})")
         nu = float(s[0] ** 2) if s.size else 0.0
         mu = float(s[-1] ** 2) if self.strongly_convex else 0.0
         return (mu, nu)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Regularizer", "project_l1_ball"]
+__all__ = ["Regularizer"]
 
 # slack for membership tests of the ball indicator
 MEMBERSHIP_TOL = 1e-12

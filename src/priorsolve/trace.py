@@ -1,19 +1,16 @@
 """Per-iteration run traces, and the one writer of every CSV artifact.
 
-One record per iteration with a fixed column set:
-
-    t,objective,lagrangian,feas_gap,sigma,step_w,step_z,stop_metric,
-    dist_w,dist_z,wall_ns
-
-dist_w / dist_z are distances to a planted solution and stay blank when no
-planted solution is known.  wall_ns is the cumulative wall time since the
-start of the run.  Traces, summary.csv and plateaus.csv share one format:
+One TraceRecord per iteration.  The trace columns (TRACE_COLUMNS) are
+TraceRecord's fields, in order, so a new column is a new field.  dist_w /
+dist_z are distances to a planted solution and stay blank when no planted
+solution is known.  wall_ns is the cumulative wall time since the start of
+the run.  Traces, summary.csv and plateaus.csv share one format:
 CRLF rows under a header, None blank, ints and strings as they are, floats
 by repr (shortest round-trip form, so reading reproduces them exactly).
 """
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from operator import attrgetter
 
 __all__ = [
@@ -24,20 +21,6 @@ __all__ = [
     "read_trace_csv",
     "write_summary_csv",
 ]
-
-TRACE_COLUMNS = (
-    "t",
-    "objective",
-    "lagrangian",
-    "feas_gap",
-    "sigma",
-    "step_w",
-    "step_z",
-    "stop_metric",
-    "dist_w",
-    "dist_z",
-    "wall_ns",
-)
 
 SUMMARY_COLUMNS = (
     "algo",
@@ -65,6 +48,9 @@ class TraceRecord:
     dist_w: float = None
     dist_z: float = None
     wall_ns: int = 0
+
+
+TRACE_COLUMNS = tuple(f.name for f in fields(TraceRecord))
 
 
 @dataclass

@@ -454,6 +454,107 @@ def test_non_finite_config_value_is_config_error(
     ]
 
 
+@pytest.mark.parametrize("text", ["kind = denoise_l2\n", "[problem]\nkind\n"])
+def test_malformed_config_file_is_one_error_line(tmp_path, capsys, text):
+    # configparser's message spans several lines; the error line joins them
+    assert main(["run", str(write_config(tmp_path, text))]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: config: malformed config file:")
+
+
+def reference_config(edits):
+    """configs/reference.ini with each (old, new) edit applied once and the
+    generator path made absolute."""
+    text = (CONFIGS / "reference.ini").read_text()
+    text = text.replace("= reference_generator", f"= {CONFIGS}/reference_generator")
+    for old, new in edits:
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    return text
+
+
+TWO_LAYERS_OF_MISMATCHED_WIDTH = [
+    {"activation": "identity", "weights": [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]},
+    {"activation": "identity", "weights": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]},
+]
+
+
+@pytest.mark.parametrize(
+    "argv, edits, message",
+    [
+        (["run"], [(f"[generator]\nfile = {CONFIGS}/reference_generator.json\n", "")],
+         "missing required section [generator]"),
+        (["run"], [("noise_level = 0.0", "noise_level = -0.1")],
+         "[problem] noise_level must be nonnegative"),
+        (["run"], [("kind = denoise_l2", "kind = compressive_sensing\n"
+                    "measurement_ratio = 1.5")],
+         "[problem] measurement_ratio must lie in (0, 1]"),
+        (["run"], [("step = 0.5", "geometry_pairs = 1")],
+         "[algorithm] geometry_pairs must be at least 2"),
+        (["run"], [("[output]\n", "[output]\nzero_wall = maybe\n")],
+         "[output] zero_wall: cannot parse 'maybe'"),
+        (["estimate-geometry"], [(("layers", 0, "weights"), [[1.0, 0.0]] * 5)],
+         "cannot load generator: layer 0 needs exactly one of 'init' or 'weights'"),
+        (["estimate-geometry"], [(("layers", 0, "init", "rows"), 1)],
+         "cannot load generator: layer 0: orthonormal init needs rows >= cols"),
+        (["estimate-geometry"], [(("layers", 0, "init", "kind"), "gaussian")],
+         "cannot load generator: layer 0: unknown init kind 'gaussian'"),
+        (["estimate-geometry"], [(("layers", 0, "bias"), 1)],
+         "cannot load generator: layer 0: 'bias' must be a boolean"),
+        (["estimate-geometry"], [(("input_dim",), 3)],
+         "cannot load generator: declared input_dim 3 does not match layers (2)"),
+        (["estimate-geometry"], [(("layers",), TWO_LAYERS_OF_MISMATCHED_WIDTH)],
+         "cannot load generator: layer 1 expects input width 2 but layer 0 "
+         "produces 3"),
+        (["estimate-geometry", "--pairs", "0"], [], "n_pairs must be at least 1"),
+    ],
+)
+def test_input_check_fails_with_one_line(tmp_path, capsys, argv, edits, message):
+    # run edits the reference config's text, estimate-geometry the fields of
+    # an orthonormal generator's JSON document
+    if argv[0] == "run":
+        argv = [*argv, str(write_config(tmp_path, reference_config(edits)))]
+    else:
+        doc = json.loads(write_orthonormal_generator(tmp_path).read_text())
+        for field, value in edits:
+            doc = with_field(doc, field, value)
+        path = tmp_path / "gen.json"
+        path.write_text(json.dumps(doc))
+        argv = [*argv, "--generator", str(path)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: config: {message}"]
+
+
+def test_compare_with_every_step_given_estimates_no_geometry(
+    tmp_path, capsys, monkeypatch
+):
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("geometry estimated although every step is given")
+
+    monkeypatch.setattr(priorsolve.config, "estimate_geometry", no_estimate)
+    write_generator(tmp_path)
+    text = COMPARE + "alpha = 0.5\nbeta = 0.5\nstep = 0.1\n"
+    argv = ["compare", str(write_config(tmp_path, text)), "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3
+
+
+def test_run_too_short_to_fit_a_rate_leaves_the_fit_blank(tmp_path, capsys):
+    write_generator(tmp_path)
+    summary_path = tmp_path / "s.csv"
+    text = BASE.format(trace=tmp_path / "t.csv") + f"summary_file = {summary_path}\n"
+    text = text.replace("max_iters = 30", "max_iters = 1")
+    assert main(["run", str(write_config(tmp_path, text))]) == 0
+    row = summary_path.read_text().splitlines()[1].split(",")
+    assert row[0] == "admm" and row[3] == "1"
+    assert row[5:] == ["", ""]  # eta_hat, plateau
+
+
 def test_compare_shares_planted_instance(tmp_path):
     write_generator(tmp_path)
     cfg = write_config(tmp_path, COMPARE)

@@ -1,5 +1,7 @@
 """Smooth data-fit terms: values, gradients, curvature constants."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,18 @@ def test_least_squares_rank_deficient_reports_no_strong_convexity():
         np.testing.assert_array_equal(
             zero.w_minimizer(gz, lam, 2.0), (zero.normal_rhs() - lam + 2.0 * gz) / 2.0
         )
+
+
+def test_least_squares_smoothness_that_overflows_is_a_clear_error():
+    # ||A||^2 past the float range used to come back as nu = inf, which made
+    # the suggested alpha 0; it is refused, and 1e150 (square 1e300) is not
+    a = RNG(4).standard_normal((3, 6))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflows"):
+            LeastSquares(1e160 * a, np.zeros(3)).convexity_constants()
+        _, nu = LeastSquares(1e150 * a, np.zeros(3)).convexity_constants()
+    np.testing.assert_allclose(nu, np.linalg.svd(1e150 * a)[1][0] ** 2, rtol=1e-12)
 
 
 def test_svd_cache_is_lazy_and_stable():
