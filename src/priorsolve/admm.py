@@ -9,7 +9,7 @@ One iteration, with the counter t starting at 1:
 
     z_{t+1} = prox_{beta H}(z_t - beta * grad_z AL(w_t, z_t, lam_t))
     w_{t+1} = prox_{alpha R}(w_t - alpha * grad_w AL(w_t, z_{t+1}, lam_t))
-              (or the exact minimizer of AL in w when the loss admits one)
+              (or the exact minimizer of AL + R in w, see exact_w_min)
     sigma_{t+1} = min(sigma0, sigma0 / (||w_{t+1} - G(z_{t+1})|| * t * ln^2(t+1)))
     lam_{t+1} = lam_t + sigma_{t+1} * (w_{t+1} - G(z_{t+1}))
 
@@ -60,7 +60,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .generator import _norm
-from .losses import UnsupportedLossError  # noqa: F401  (exact_w_min raises it)
+from .losses import UnsupportedLossError
 from .trace import RunTrace, StageInfo, TraceRecord
 
 __all__ = [
@@ -239,14 +239,20 @@ def dual_update(sigma0, lam, resid, gap, t):
     return sigma, lam + sigma * resid
 
 
-def exact_w_min(loss, gz, lam, rho):
-    """Closed-form argmin_w AL(w, z, lam) given gz = G(z), from the loss's
-    own w_minimizer; rho may be a (B, 1) column for a loss that takes a
-    (B, d) stack (AdmmConfig and plateau_vs_rho check rho where it enters).
-    Raises UnsupportedLossError for a loss without one."""
-    return loss.w_minimizer(
-        np.asarray(gz, dtype=float), np.asarray(lam, dtype=float), rho
-    )
+def exact_w_min(loss, gz, lam, rho, reg_w=None):
+    """argmin_w AL(w, z, lam) + R(w) given gz = G(z).  With R = 0 (None or
+    kind zero) it is c = loss.w_minimizer, and rho may be a (B, 1) column for
+    a loss that takes a (B, d) stack (AdmmConfig and plateau_vs_rho check
+    rho).  Else the loss needs mu = nu, so AL = (nu + rho)/2 ||w - c||^2 +
+    const and the step is prox_{R/(nu+rho)}(c) (Parikh & Boyd 2014, 2.2).
+    Raises UnsupportedLossError for a loss without the step."""
+    w = loss.w_minimizer(np.asarray(gz, dtype=float), np.asarray(lam, dtype=float), rho)
+    if reg_w is None or reg_w.kind == "zero":
+        return w
+    mu, nu = loss.convexity_constants()
+    if mu != nu:
+        raise UnsupportedLossError(f"{type(loss).__name__} has no exact w step with R")
+    return reg_w.prox(w, 1.0 / (nu + rho))
 
 
 def stopping_metric(dz_sq, dw_sq, alpha, beta, sigma_prev, gap_prev):
@@ -262,11 +268,6 @@ def _ensure_finite(guard, value, name, iteration):
         raise NonFiniteError(name, iteration)
 
 
-def _check_exact_mode(problem, cfg):
-    if cfg.w_step == "exact" and problem.reg_w.kind != "zero":
-        raise ValueError("exact w minimization requires the zero w-regularizer")
-
-
 def admm_step(problem, cfg, state, planted=None):
     """One full iteration; returns (new_state, trace_record).
 
@@ -280,7 +281,6 @@ def admm_step(problem, cfg, state, planted=None):
     displacement with the previous sigma and feasibility gap.  wall_ns is
     left at 0; the run loop (_drive) stamps it.
     """
-    _check_exact_mode(problem, cfg)
     loss, gen = problem.loss, problem.gen
     rho = cfg.rho
     w, z, lam = state.w, state.z, state.lam
@@ -300,7 +300,7 @@ def admm_step(problem, cfg, state, planted=None):
     gz_new = tape_new.output
 
     if exact:
-        w_new = exact_w_min(loss, gz_new, lam, rho)
+        w_new = exact_w_min(loss, gz_new, lam, rho, problem.reg_w)
     else:
         grad_w = state.w_grad[1] if state.w_grad is not None else loss.grad(w)
         g = grad_w_lagrangian(grad_w, lam, w - gz_new, rho)
@@ -382,7 +382,6 @@ def run(problem, cfg, state, planted=None, observer=None):
     the initial state and an empty trace) or, with a schedule, its stages on
     one clock and trace, each completed one annotated on trace.stages.  On
     divergence the NonFiniteError carries the partial trace."""
-    _check_exact_mode(problem, cfg)
     sched = cfg.multiscale
     trace = RunTrace()
     t0 = time.perf_counter_ns()

@@ -42,8 +42,7 @@ stage_iters.  It fills a missing gd step with 1/(nu_L kappa_hat^2), the
 1/Lipschitz step of L(G(z)) when G bends little, from the same geometry
 estimate as beta; gd is stable below about 2/(nu_L kappa_hat^2), whatever
 rho is.  configs/reference.ini without its step (0.456 there) converges in
-955 iterations.  Kind denoise_linf rejects eadmm and `compare`: the exact w
-step needs the zero w-regularizer.
+955 iterations.
 """
 
 import configparser
@@ -161,7 +160,7 @@ def parse_config(path, command="run"):
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
     except configparser.Error as exc:
-        detail = " ".join(str(exc).splitlines())
+        detail = " ".join(str(exc).split())
         raise ConfigError(f"malformed config file: {detail}") from None
 
     known = {"problem", "generator", "algorithm", "output"}
@@ -224,11 +223,6 @@ def parse_config(path, command="run"):
     if plan == "eadmm" and values["max_iters"] is not None:
         raise ConfigError(
             "[algorithm] max_iters is derived from the stage plan for eadmm"
-        )
-    if kind == "denoise_linf" and (command == "compare" or method == "eadmm"):
-        raise ConfigError(
-            "[problem] kind denoise_linf cannot run eadmm (its exact w step "
-            "needs the zero w-regularizer)"
         )
 
     output = _Section(parser, "output", values)

@@ -15,7 +15,9 @@ rely on mu > 0 should be skipped.
 
 Each loss with a closed-form w step, w_minimizer(gz, lam, rho) =
 argmin_w L(w) + <lam, w - gz> + (rho/2) ||w - gz||^2, documents its own;
-the SmoothLoss default raises UnsupportedLossError.
+the SmoothLoss default raises UnsupportedLossError.  A nonzero penalty R on
+w has an exact step only for a loss with mu = nu (Hessian nu I): then it is
+prox_{R/(nu+rho)} of w_minimizer (admm.exact_w_min).
 """
 
 import math
@@ -132,6 +134,11 @@ class ScaledQuadratic(SmoothLoss):
 
     def convexity_constants(self):
         return (2.0 * self.gamma, 2.0 * self.gamma)
+
+    def w_minimizer(self, gz, lam, rho):
+        """(2 gamma target - lam + rho gz) / (2 gamma + rho)."""
+        nu = 2.0 * self.gamma
+        return (nu * self.target - lam + rho * gz) / (nu + rho)
 
 
 class LeastSquares(SmoothLoss):

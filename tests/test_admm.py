@@ -27,7 +27,7 @@ from priorsolve.admm import (
     suggest_step_sizes,
 )
 from priorsolve.generator import Activation, FeedforwardGenerator, Layer
-from priorsolve.losses import LeastSquares, QuadraticDenoise, ScaledQuadratic
+from priorsolve.losses import LeastSquares, QuadraticDenoise, SmoothLoss
 from priorsolve.prox import Regularizer
 
 RNG = np.random.default_rng
@@ -192,9 +192,11 @@ def test_exact_w_min_least_squares_matches_dense_solve():
 
 
 def test_exact_w_min_rejects_unsupported_loss():
-    loss = ScaledQuadratic(np.zeros(3), gamma=0.1)
+    class NoStep(SmoothLoss):  # a loss without a closed-form w step
+        dim = 3
+
     with pytest.raises(UnsupportedLossError):
-        exact_w_min(loss, np.zeros(3), np.zeros(3), 1.0)
+        exact_w_min(NoStep(), np.zeros(3), np.zeros(3), 1.0)
 
 
 def test_stopping_metric_hand_value():
@@ -467,18 +469,24 @@ def test_dual_overflow_alone_raises_lambda():
     assert (info.value.quantity, info.value.iteration) == ("lambda", 1)
 
 
-def test_exact_mode_rejects_nonzero_w_regularizer():
+def test_exact_mode_takes_a_nonzero_w_regularizer_on_isotropic_losses():
     gen = random_net(23)
-    problem = SplitProblem(
-        loss=QuadraticDenoise(np.zeros(8)),
-        gen=gen,
-        reg_w=Regularizer.linf(0.1),
-        reg_z=Regularizer.zero(),
-    )
+    reg_w = Regularizer.linf(0.1)
+    problem = quad_problem(gen, np.zeros(8), reg_w=reg_w)
     cfg = base_config(w_step="exact")
     state = initial_state(problem, cfg, z0=np.array([0.1, 0.1]))
-    with pytest.raises(ValueError):
-        run(problem, cfg, state)
+    new, _ = admm_step(problem, cfg, state)
+    # w_{t+1} = prox_{R/(1+rho)} of the smooth step at G(z_{t+1}) and lam_t
+    # (target 0, nu = 1)
+    c = (cfg.rho * new.tape.output - state.lam) / (1.0 + cfg.rho)
+    assert prox_subgradient_residual(reg_w, 1.0 / (1.0 + cfg.rho), c, new.w) <= 1e-12
+    _, trace = run(problem, cfg, state)
+    assert len(trace) > 0 and trace.stop_reason in ("tol", "budget")
+    # a wide least-squares loss has mu = 0 < nu: no exact step with R
+    a = RNG(23).standard_normal((4, 8))
+    wide = dataclasses.replace(problem, loss=LeastSquares(a, np.zeros(4)))
+    with pytest.raises(UnsupportedLossError):
+        admm_step(wide, cfg, initial_state(wide, cfg, z0=np.array([0.1, 0.1])))
 
 
 def test_config_validation():

@@ -306,18 +306,27 @@ def test_compare_numerical_error_keeps_finished_and_partial_traces(
     assert sorted(p.name for p in out.iterdir()) == ["admm_trace.csv", "gd_trace.csv"]
 
 
-def test_compare_on_denoise_linf_fails_before_writing(tmp_path, capsys):
-    # no generator file: the kind check must come before the generator loads
-    text = COMPARE.replace("kind = denoise_l2", "kind = denoise_linf")
-    cfg, out = write_config(tmp_path, text), tmp_path / "o"
-    out.mkdir()
-    assert main(["compare", str(cfg), "--out-dir", str(out)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == "" and list(out.iterdir()) == []
-    assert captured.err.splitlines() == [
-        "error: config: [problem] kind denoise_linf cannot run eadmm (its exact "
-        "w step needs the zero w-regularizer)"
-    ]
+def test_compare_and_eadmm_run_on_denoise_linf_are_pinned(tmp_path, capsys):
+    # the exact w step of denoise_linf is the prox of its l-inf term at the
+    # smooth step: admm and eadmm stop on tolerance, gd spends its budget
+    linf = ("kind = denoise_l2", "kind = denoise_linf")
+    cfg, out = write_config(tmp_path, reference_config([linf])), tmp_path / "o"
+    assert main(["compare", str(cfg), "--out-dir", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    want = {"gd": (3000, "budget"), "admm": (983, "tol"), "eadmm": (363, "tol")}
+    for (algo, (iters, stop)), line in zip(want.items(), lines, strict=True):
+        assert line.startswith(f"algo={algo} iters={iters} ")
+        assert line.endswith(f" stop={stop}")
+    assert sorted(p.name for p in out.iterdir()) == [
+        "admm_trace.csv", "eadmm_trace.csv", "gd_trace.csv", "summary.csv"]
+    # run with method = eadmm writes compare's eadmm trace
+    trace = tmp_path / "trace.csv"
+    text = reference_config([
+        linf, ("method = admm", "method = eadmm"), ("max_iters = 3000\n", ""),
+        ("= reference_trace.csv", f"= {trace}\nzero_wall = true"),
+    ])
+    assert main(["run", str(write_config(tmp_path, text))]) == 0
+    assert trace.read_bytes() == (out / "eadmm_trace.csv").read_bytes()
 
 
 def test_compare_that_cannot_write_its_summary_prints_nothing(tmp_path, capsys):
@@ -463,6 +472,7 @@ def test_malformed_config_file_is_one_error_line(tmp_path, capsys, text):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: config: malformed config file:")
+    assert "\t" not in lines[0]
 
 
 def reference_config(edits):

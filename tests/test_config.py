@@ -228,7 +228,7 @@ def test_load_problem_linf(tmp_path):
     assert inst.problem.reg_w.kind == "linf"
 
 
-def test_denoise_linf_rejects_eadmm_and_compare(tmp_path):
+def test_denoise_linf_parses_for_eadmm_and_compare(tmp_path):
     write_generator(tmp_path)
     linf = BASE.replace("kind = denoise_l2", "kind = denoise_linf")
     eadmm = linf.replace("method = admm", "method = eadmm").replace(
@@ -236,15 +236,8 @@ def test_denoise_linf_rejects_eadmm_and_compare(tmp_path):
     )
     both = linf.replace("max_iters = 40", "max_iters = 40\nstages = 2\nstage_iters = 3")
     for text, command in ((eadmm, "run"), (both, "compare")):
-        with pytest.raises(ConfigError, match="denoise_linf cannot run eadmm"):
-            parse_config(write_config(tmp_path, text), command=command)
-        # the same file parses on the default kind
-        plain = text.replace("kind = denoise_linf", "kind = denoise_l2")
-        parse_config(write_config(tmp_path, plain), command=command)
-    # admm and gd runs on the kind still parse
-    gd = linf.replace("method = admm", "method = gd\nstep = 0.1")
-    for text, method in ((linf, "admm"), (gd, "gd")):
-        assert parse_config(write_config(tmp_path, text), command="run").method == method
+        cfg = parse_config(write_config(tmp_path, text), command=command)
+        assert (cfg.kind, cfg.stages, cfg.stage_iters) == ("denoise_linf", 2, 3)
 
 
 def test_solver_settings_defaults(tmp_path):
@@ -341,10 +334,7 @@ def valid_configs(draw):
         plan = method = draw(st.sampled_from(METHODS))
     else:
         plan, method = "compare", draw(st.sampled_from((None, *METHODS)))
-    linf_ok = plan in ("gd", "admm")  # the exact w step rejects denoise_linf
-    kind = draw(st.sampled_from(
-        [k for k in INSTANCE_KINDS if linf_ok or k != "denoise_linf"]
-    ))
+    kind = draw(st.sampled_from(INSTANCE_KINDS))
     optional = {
         "noise_level": st.floats(0.0, 1e6), "seed": st.integers(0, 2**32 - 1),
         "rho": positive, "alpha": positive, "beta": positive, "sigma0": positive,

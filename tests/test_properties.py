@@ -4,7 +4,8 @@ iterates in the Lagrangian formulas, is evaluated row by row, and the batched
 geometry estimate agrees with its per-pair form, equals its one-point-at-a-time
 draws exactly and extends its own smaller samples, the ELU derivative
 equals its piecewise form, and the exact w step of a wide least-squares loss
-solves its normal equations."""
+solves its normal equations, while with a nonsmooth w penalty only the losses
+with mu = nu have one and it passes the prox certificate."""
 
 import math
 
@@ -14,7 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from oracles import geometry_pairs, sequential_geometry, serial_geometry
+from oracles import (
+    geometry_pairs,
+    prox_subgradient_residual,
+    sequential_geometry,
+    serial_geometry,
+)
 from priorsolve import generator
 from priorsolve.admm import (
     aug_lagrangian,
@@ -30,7 +36,13 @@ from priorsolve.generator import (
     Layer,
     estimate_geometry,
 )
-from priorsolve.losses import LeastSquares, QuadraticDenoise, ScaledQuadratic
+from priorsolve.losses import (
+    LeastSquares,
+    QuadraticDenoise,
+    ScaledQuadratic,
+    UnsupportedLossError,
+)
+from priorsolve.prox import Regularizer
 
 finite = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
 EPS = np.finfo(float).eps
@@ -346,3 +358,46 @@ def test_wide_exact_w_step_solves_its_normal_equations(case, rho):
     mu, nu = loss.convexity_constants()
     top = np.linalg.eigvalsh(a.T @ a)[-1]
     assert mu == 0.0 and abs(nu - top) <= 1e-10 * max(1.0, nu)
+
+
+@st.composite
+def penalized_w_steps(draw):
+    """(loss, R, gz, lam, rho) with an isotropic loss (mu = nu) and R an
+    l-infinity norm, centred or not, or a ball indicator."""
+    dim = draw(st.integers(1, 6))
+    target = vectors(draw, dim)
+    if draw(st.booleans()):
+        loss = QuadraticDenoise(target)
+    else:
+        loss = ScaledQuadratic(target, gamma=draw(st.floats(1e-3, 10.0)))
+    kind = draw(st.sampled_from(("linf", "centred linf", "ball")))
+    if kind == "ball":
+        reg = Regularizer.ball(vectors(draw, dim), draw(st.floats(0.1, 5.0)))
+    else:
+        center = vectors(draw, dim) if kind == "centred linf" else None
+        reg = Regularizer.linf(draw(st.floats(1e-3, 10.0)), center=center)
+    gz, lam = vectors(draw, dim), vectors(draw, dim)
+    return loss, reg, gz, lam, draw(st.floats(0.1, 10.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(penalized_w_steps())
+def test_exact_w_step_with_a_penalty_is_its_prox(case):
+    """The step w is prox_{R/(nu+rho)}(c) to acceptance 03's 1e-10, with c
+    read off the first-order condition: grad L(w) + lam + rho (w - gz) =
+    (nu + rho)(w - c) when the Hessian of L is nu I."""
+    loss, reg, gz, lam, rho = case
+    w = exact_w_min(loss, gz, lam, rho, reg)
+    nu = loss.convexity_constants()[1]
+    c = w - (loss.grad(w) + lam + rho * (w - gz)) / (nu + rho)
+    assert prox_subgradient_residual(reg, 1.0 / (nu + rho), c, w) <= 1e-10
+
+
+@settings(max_examples=50, deadline=None)
+@given(wide_least_squares(), st.floats(0.1, 10.0))
+def test_wide_least_squares_has_no_exact_w_step_with_a_penalty(case, rho):
+    """mu = 0 < nu, so the prox of R at the smooth step is not the step."""
+    loss, rng = case
+    gz, lam = rng.standard_normal(loss.dim), rng.standard_normal(loss.dim)
+    with pytest.raises(UnsupportedLossError):
+        exact_w_min(loss, gz, lam, rho, Regularizer.linf(1.0))
