@@ -412,14 +412,15 @@ def run_multiscale(problem, cfg, state, planted=None, observer=None):
     return run(problem, cfg, state, planted, observer)
 
 
-def suggest_step_sizes(loss, kappa_hat, rho):
-    """Advisory defaults from the strongly convex regime: alpha = 1/nu_L and
-    beta = 1/(rho * kappa_hat^2)."""
+def suggest_step_sizes(nu, kappa_hat, rho):
+    """(alpha, beta, gd_step) for a loss of smoothness nu: alpha = 1/nu while
+    rho < nu, else 1/(nu + rho), so alpha (nu + rho) < 2 keeps the linearized
+    w step stable; beta = 1/(rho kappa_hat^2); gd_step = 1/(nu kappa_hat^2)."""
     if not kappa_hat > 0.0:
         raise ValueError("kappa_hat must be strictly positive")
     if not rho > 0.0:
         raise ValueError("rho must be strictly positive")
-    nu = loss.convexity_constants()[1]
     if not nu > 0.0:
         raise ValueError("loss smoothness constant must be strictly positive")
-    return 1.0 / nu, 1.0 / (rho * kappa_hat**2)
+    alpha = 1.0 / (nu if rho < nu else nu + rho)
+    return alpha, 1.0 / (rho * kappa_hat**2), 1.0 / (nu * kappa_hat**2)

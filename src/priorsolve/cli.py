@@ -34,7 +34,6 @@ import argparse
 import math
 import os
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -195,9 +194,7 @@ def cmd_compare(args):
 def cmd_estimate_geometry(args):
     gen = open_generator(args.generator)
     est = estimate_geometry(gen, args.pairs, seed=args.seed)
-    # suggest_step_sizes reads only the smoothness constant of the loss
-    loss = SimpleNamespace(convexity_constants=lambda: (None, args.nu_loss))
-    alpha, beta = suggest_step_sizes(loss, est.kappa_hat, args.rho)
+    alpha, beta, _ = suggest_step_sizes(args.nu_loss, est.kappa_hat, args.rho)
     print(f"iota_hat={_format(est.iota_hat)}")
     print(f"kappa_hat={_format(est.kappa_hat)}")
     print(f"nu_g_hat={_format(est.nu_g_hat)}")

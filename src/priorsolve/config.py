@@ -23,8 +23,9 @@ outside the range below, a missing required key, or max_iters with eadmm.
   sigma0             positive float, default 0.2
   tau_c              positive float, default 1e-12
   max_iters          positive integer (gd / admm; an error with eadmm)
-  alpha, beta        positive floats; when omitted they are suggested from
-                     the loss smoothness and the estimated generator geometry
+  alpha, beta        positive floats; when omitted, alpha = 1/nu_L (loss
+                     smoothness) while rho < nu_L, else 1/(nu_L + rho), and
+                     beta = 1/(rho kappa_hat^2) from the estimated geometry
   geometry_pairs     integer >= 2, default 2000 (used when a step is omitted)
   stages             positive integer (required for eadmm)
   stage_iters        positive integer (required for eadmm)
@@ -269,29 +270,25 @@ def solver_settings(settings, gen, inst, method=None, geometry=None):
     for gd, AdmmConfig for the splitting solvers.
 
     method overrides settings.method (compare needs a config for every
-    method from one file).  Suggested steps use the loss smoothness nu_L
-    for alpha, and the estimated geometry for beta = 1/(rho kappa_hat^2) and
-    the gd step 1/(nu_L kappa_hat^2); geometry, the result of step_geometry,
-    spares a second estimate when one file yields several configs.
+    method from one file).  Omitted steps come from one
+    admm.suggest_step_sizes call on the loss smoothness nu_L and the
+    estimated geometry; geometry, the result of step_geometry, spares a
+    second estimate when one file yields several configs.
     """
     method = settings.method if method is None else method
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    loss = inst.problem.loss
+    given = (settings.alpha, settings.beta, settings.step)
+    alpha, beta, step = given
+    if None in ((step,) if method == "gd" else (alpha, beta)):
+        est = step_geometry(settings, gen) if geometry is None else geometry
+        nu = inst.problem.loss.convexity_constants()[1]
+        suggested = suggest_step_sizes(nu, est.kappa_hat, settings.rho)
+        alpha, beta, step = (s if g is None else g for g, s in zip(given, suggested))
     if method == "gd":
-        step = settings.step
-        if step is None:
-            est = step_geometry(settings, gen) if geometry is None else geometry
-            step = 1.0 / (loss.convexity_constants()[1] * est.kappa_hat**2)
         return GdConfig(
             step=step, max_iters=settings.max_iters, grad_tol=settings.grad_tol
         )
-    alpha, beta = settings.alpha, settings.beta
-    if alpha is None or beta is None:
-        est = step_geometry(settings, gen) if geometry is None else geometry
-        sug_alpha, sug_beta = suggest_step_sizes(loss, est.kappa_hat, settings.rho)
-        alpha = sug_alpha if alpha is None else alpha
-        beta = sug_beta if beta is None else beta
     max_iters, schedule = settings.max_iters, None
     if method == "eadmm":
         schedule = MultiscaleSchedule(

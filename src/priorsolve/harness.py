@@ -292,7 +292,7 @@ def plateau_vs_rho(
     w_star = np.tile([inst.w_star for inst in insts], tiles)
     rho = np.repeat(rho_values, len(seeds))
     beta = np.repeat(
-        [suggest_step_sizes(loss, est.kappa_hat, r)[1] for r in rho_values],
+        [suggest_step_sizes(loss.nu, est.kappa_hat, r)[1] for r in rho_values],
         len(seeds),
     )
     if not np.all(beta > 0.0):

@@ -225,7 +225,8 @@ def test_acceptance_04_dual_norm_cap():
     runs = []
 
     inst = build_instance(gen_ref, "denoise_l2", noise_level=0.0, seed=0)
-    alpha, beta = suggest_step_sizes(inst.problem.loss, est_ref.kappa_hat, 0.1)
+    alpha, beta, _ = suggest_step_sizes(
+        inst.problem.loss.convexity_constants()[1], est_ref.kappa_hat, 0.1)
     cfg = AdmmConfig(
         rho=0.1, alpha=alpha, beta=beta, sigma0=1e-4, tau_c=1e-300, max_iters=500
     )
@@ -251,7 +252,8 @@ def test_acceptance_04_dual_norm_cap():
     gen = random_net(32)
     inst = build_instance(gen, "compressive_sensing", noise_level=0.05, seed=3)
     est = estimate_geometry(gen, 400, seed=3)
-    alpha, beta = suggest_step_sizes(inst.problem.loss, est.kappa_hat, 1.0)
+    alpha, beta, _ = suggest_step_sizes(
+        inst.problem.loss.convexity_constants()[1], est.kappa_hat, 1.0)
     cfg = AdmmConfig(
         rho=1.0, alpha=alpha, beta=beta, sigma0=0.5, tau_c=1e-300, max_iters=300
     )
@@ -296,7 +298,8 @@ def test_acceptance_05_linear_convergence():
     mu_l = inst.problem.loss.convexity_constants()[0]
     rho = 0.1
     assert rho <= mu_l / 10.0 * (1.0 + 1e-12)
-    alpha, beta = suggest_step_sizes(inst.problem.loss, est.kappa_hat, rho)
+    alpha, beta, _ = suggest_step_sizes(
+        inst.problem.loss.convexity_constants()[1], est.kappa_hat, rho)
     cfg = AdmmConfig(
         rho=rho, alpha=alpha, beta=beta, sigma0=1e-4, tau_c=1e-300, max_iters=3000
     )

@@ -2,9 +2,12 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import lagrangian_at, lagrangian_grads, linear_generator, random_net
 from oracles import dual_norm_cap, fd_grad, prox_subgradient_residual, uniform_ball_point
@@ -634,11 +637,32 @@ def test_multiscale_requires_schedule():
 
 def test_suggest_step_sizes():
     est_kappa = 1.5
-    loss = QuadraticDenoise(np.zeros(4))
-    alpha, beta = suggest_step_sizes(loss, est_kappa, rho=2.0)
-    assert alpha == 1.0
+    nu = QuadraticDenoise(np.zeros(4)).convexity_constants()[1]
+    alpha, beta, gd_step = suggest_step_sizes(nu, est_kappa, rho=2.0)
+    assert alpha == 1.0 / 3.0  # rho = 2 >= nu = 1: 1/(nu + rho)
     assert beta == 1.0 / (2.0 * 1.5**2)
+    assert gd_step == 1.0 / 1.5**2
+    assert suggest_step_sizes(nu, est_kappa, rho=0.1)[0] == 1.0
     with pytest.raises(ValueError):
-        suggest_step_sizes(loss, 0.0, rho=2.0)
+        suggest_step_sizes(nu, 0.0, rho=2.0)
     with pytest.raises(ValueError):
-        suggest_step_sizes(loss, 1.0, rho=0.0)
+        suggest_step_sizes(nu, 1.0, rho=0.0)
+    with pytest.raises(ValueError):
+        suggest_step_sizes(0.0, 1.0, rho=2.0)
+
+
+positive = st.floats(1e-6, 1e6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(positive, positive, st.floats(1e-3, 1e3), st.data())
+def test_suggested_alpha_keeps_the_linearized_w_step_stable(nu, rho, kappa, data):
+    """The w block gradient is (nu + rho)-Lipschitz, so the step is stable
+    for alpha (nu + rho) < 2, checked in exact arithmetic on the float alpha;
+    alpha is exactly 1/nu below rho = nu, and gd_step = 1/(nu kappa^2)."""
+    if data.draw(st.booleans()):  # rho within a few ulps of nu
+        rho = nu * (1.0 + data.draw(st.integers(-4, 4)) * np.finfo(float).eps)
+    alpha, _, gd_step = suggest_step_sizes(nu, kappa, rho)
+    assert Fraction(alpha) * (Fraction(nu) + Fraction(rho)) < 2
+    assert (alpha == 1.0 / nu) == (rho < nu)
+    assert gd_step == 1.0 / (nu * kappa**2)

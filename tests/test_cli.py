@@ -313,7 +313,7 @@ def test_compare_and_eadmm_run_on_denoise_linf_are_pinned(tmp_path, capsys):
     cfg, out = write_config(tmp_path, reference_config([linf])), tmp_path / "o"
     assert main(["compare", str(cfg), "--out-dir", str(out)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    want = {"gd": (3000, "budget"), "admm": (983, "tol"), "eadmm": (363, "tol")}
+    want = {"gd": (3000, "budget"), "admm": (984, "tol"), "eadmm": (397, "tol")}
     for (algo, (iters, stop)), line in zip(want.items(), lines, strict=True):
         assert line.startswith(f"algo={algo} iters={iters} ")
         assert line.endswith(f" stop={stop}")
@@ -327,6 +327,28 @@ def test_compare_and_eadmm_run_on_denoise_linf_are_pinned(tmp_path, capsys):
     ])
     assert main(["run", str(write_config(tmp_path, text))]) == 0
     assert trace.read_bytes() == (out / "eadmm_trace.csv").read_bytes()
+
+
+# admm on configs/reference.ini as rho passes nu_L = 1, where the suggested
+# alpha = 1/(nu_L + rho) keeps the linearized w step stable
+ADMM_PAST_NU = {"1": (922, "tol"), "1.5": (1133, "tol"), "2": (1342, "tol"),
+                "4": (2158, "tol"), "10": (3000, "budget")}
+
+
+@pytest.mark.parametrize("rho", sorted(ADMM_PAST_NU, key=float))
+def test_reference_admm_converges_for_rho_past_nu(tmp_path, capsys, rho):
+    text = reference_config([("rho = 0.1", f"rho = {rho}")])
+    cfg, out = write_config(tmp_path, text), tmp_path / "o"
+    assert main(["compare", str(cfg), "--out-dir", str(out)]) == 0
+    iters, stop = ADMM_PAST_NU[rho]
+    admm = capsys.readouterr().out.splitlines()[1]
+    assert admm.startswith(f"algo=admm iters={iters} ")
+    assert admm.endswith(f" stop={stop}")
+    if rho == "2":
+        trace = tmp_path / "trace.csv"
+        text = text.replace("= reference_trace.csv", f"= {trace}")
+        assert main(["run", str(write_config(tmp_path, text))]) == 0
+        assert len(read_trace_csv(trace)) == iters
 
 
 def test_compare_that_cannot_write_its_summary_prints_nothing(tmp_path, capsys):
@@ -355,9 +377,9 @@ REFERENCE_SWEEP_SHA256 = (
 # stdout of the other subcommands on the reference generator
 REFERENCE_STDOUT_SHA256 = {
     "estimate-geometry":
-        "a7aaecca4e32426af2eea66c0d45fa08262d00ac6111a85e469ac484bb1e5242",
+        "e5228643811c44a6b9a2ac9092aab20c763986bd99588793447cb423aa8c1095",
     "estimate-geometry --pairs 1 --seed 3":
-        "181cb3cb4954237c9e465755f7b2acd4d1653c1bd2868f4ed32572381a1bf8d6",
+        "5ee751870cc4d72b3e94e34f60065d1bc949527d85ad4854dbcd31da437eae01",
     "tune-gd --steps 0.05,0.1,0.2,0.5":
         "6e2d1e9e49f1eb06f52d12b61ecead460fde59e0edaf7bd52a672fdecda380cb",
 }
@@ -593,7 +615,7 @@ def test_estimate_geometry(tmp_path, capsys):
     assert abs(float(values["kappa_hat"]) - 1.0) < 1e-9
     assert float(values["nu_g_hat"]) < 1e-9
     assert values["n_pairs"] == "400"
-    assert float(values["suggested_alpha"]) == 1.0
+    assert float(values["suggested_alpha"]) == 1.0 / 3.0  # rho = 2 >= nu = 1
     assert abs(float(values["suggested_beta"]) - 0.5) < 1e-6
 
 
