@@ -415,7 +415,8 @@ def run_multiscale(problem, cfg, state, planted=None, observer=None):
 def suggest_step_sizes(nu, kappa_hat, rho):
     """(alpha, beta, gd_step) for a loss of smoothness nu: alpha = 1/nu while
     rho < nu, else 1/(nu + rho), so alpha (nu + rho) < 2 keeps the linearized
-    w step stable; beta = 1/(rho kappa_hat^2); gd_step = 1/(nu kappa_hat^2)."""
+    w step stable; beta = 1/(rho kappa_hat^2); gd_step = 1/(nu kappa_hat^2).
+    Raises ValueError when a step underflows to 0.0."""
     if not kappa_hat > 0.0:
         raise ValueError("kappa_hat must be strictly positive")
     if not rho > 0.0:
@@ -423,4 +424,12 @@ def suggest_step_sizes(nu, kappa_hat, rho):
     if not nu > 0.0:
         raise ValueError("loss smoothness constant must be strictly positive")
     alpha = 1.0 / (nu if rho < nu else nu + rho)
-    return alpha, 1.0 / (rho * kappa_hat**2), 1.0 / (nu * kappa_hat**2)
+    beta = 1.0 / (rho * kappa_hat**2)
+    gd_step = 1.0 / (nu * kappa_hat**2)
+    if beta == 0.0:
+        raise ValueError("rho too large: beta = 1/(rho kappa_hat^2) underflows")
+    if alpha == 0.0:
+        raise ValueError("nu + rho too large: alpha underflows")
+    if gd_step == 0.0:
+        raise ValueError("nu too large: gd_step = 1/(nu kappa_hat^2) underflows")
+    return alpha, beta, gd_step

@@ -28,6 +28,10 @@ through the exit-2 path rather than as warnings.  A ``run`` or ``compare``
 that fails numerically still writes the rows each solver completed to its
 trace file (``compare`` then writes no summary).  The trace module writes
 every CSV artifact and formats every float printed; this module opens no file.
+
+The console script and ``python -m priorsolve`` run :func:`main` through
+``priorsolve.__main__.entry``, which freezes the heap after it returns;
+:func:`main` called from Python does not freeze.
 """
 
 import argparse

@@ -295,8 +295,6 @@ def plateau_vs_rho(
         [suggest_step_sizes(loss.nu, est.kappa_hat, r)[1] for r in rho_values],
         len(seeds),
     )
-    if not np.all(beta > 0.0):
-        raise ValueError("rho too large: beta = 1/(rho kappa_hat^2) underflows")
     rho_col, beta_col = rho[:, None], beta[:, None]
 
     z = np.zeros((rho.size, gen.input_dim))

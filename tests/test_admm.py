@@ -649,6 +649,13 @@ def test_suggest_step_sizes():
         suggest_step_sizes(nu, 1.0, rho=0.0)
     with pytest.raises(ValueError):
         suggest_step_sizes(0.0, 1.0, rho=2.0)
+    # a step that underflows to 0.0 is an error, not a step
+    with pytest.raises(ValueError, match="rho too large: beta"):
+        suggest_step_sizes(nu, est_kappa, rho=1e308)
+    with pytest.raises(ValueError, match="alpha underflows"):
+        suggest_step_sizes(1e308, 0.5, rho=1e308)
+    with pytest.raises(ValueError, match="gd_step"):
+        suggest_step_sizes(1e308, est_kappa, rho=0.1)
 
 
 positive = st.floats(1e-6, 1e6)

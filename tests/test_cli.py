@@ -1,8 +1,12 @@
 """End-to-end tests for the command-line interface."""
 
+import ast
+import gc
 import hashlib
+import importlib
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -542,6 +546,11 @@ TWO_LAYERS_OF_MISMATCHED_WIDTH = [
          "cannot load generator: layer 1 expects input width 2 but layer 0 "
          "produces 3"),
         (["estimate-geometry", "--pairs", "0"], [], "n_pairs must be at least 1"),
+        # kappa_hat = 2, so beta = 1/(rho kappa_hat^2) underflows to 0.0
+        (["estimate-geometry", "--rho", "1e308"], [(("layers", 0, "init", "scale"), 2.0)],
+         "rho too large: beta = 1/(rho kappa_hat^2) underflows"),
+        (["run"], [("rho = 0.1", "rho = 1e308")],
+         "rho too large: beta = 1/(rho kappa_hat^2) underflows"),
     ],
 )
 def test_input_check_fails_with_one_line(tmp_path, capsys, argv, edits, message):
@@ -826,25 +835,73 @@ def test_seed_flags_name_a_negative_seed(tmp_path, capsys, argv, flag, value):
     ]
 
 
-def test_module_entry_point(tmp_path):
-    path = write_orthonormal_generator(tmp_path)
+# stdout of `compare configs/reference.ini`
+REFERENCE_COMPARE_STDOUT = [
+    "algo=gd iters=870 final_obj=1.3803504057329893e-17 final_gap=0.0 stop=tol",
+    "algo=admm iters=978 final_obj=2.241536556165998e-13 "
+    "final_gap=0.0004564446178052023 stop=tol",
+    "algo=eadmm iters=768 final_obj=4.548819886545545e-12 "
+    "final_gap=5.6274065061250235e-05 stop=tol",
+]
+
+
+@pytest.mark.parametrize("case", ["compare", "malformed-config", "diverging-run"])
+def test_module_entry_point(tmp_path, case):
+    # `python -m priorsolve` exits through priorsolve.__main__.entry, which
+    # freezes the heap once main() returns; the process must still keep
+    # main()'s exit code and flush every file and stream it wrote
+    out = tmp_path / "out"
+    if case == "compare":
+        argv, code = ["compare", str(CONFIGS / "reference.ini"), "--out-dir", str(out)], 0
+    elif case == "malformed-config":
+        argv, code = ["run", str(write_config(tmp_path, "kind = denoise_l2\n"))], 1
+    else:
+        write_generator(tmp_path)
+        text = BASE.format(trace=out).replace("rho = 0.5", "rho = 0.5\nalpha = 1e12")
+        argv, code = ["run", str(write_config(tmp_path, text + "zero_wall = true\n"))], 2
     proc = subprocess.run(
-        [
-            sys.executable,
-            "-m",
-            "priorsolve",
-            "estimate-geometry",
-            "--generator",
-            str(path),
-            "--pairs",
-            "50",
-        ],
+        [sys.executable, "-m", "priorsolve", *argv],
         capture_output=True,
         text=True,
         # the directory that holds the imported package, so the child finds
         # it without PYTHONPATH (pytest's pythonpath setting reaches only
         # this process)
         cwd=Path(priorsolve.__file__).parent.parent,
+        # block-buffered stdout, as a user's pipe gets it, so an exit that
+        # skips the flush loses the output
+        env={k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
     )
-    assert proc.returncode == 0
-    assert "kappa_hat=" in proc.stdout
+    assert proc.returncode == code
+    if case == "compare":
+        assert proc.stdout.splitlines() == REFERENCE_COMPARE_STDOUT
+        assert proc.stderr == ""
+        assert {p.name: sha256(p) for p in out.iterdir()} == REFERENCE_COMPARE_SHA256
+        return
+    assert proc.stdout == ""
+    err = proc.stderr.splitlines()
+    category = "config" if code == 1 else "numerical"
+    assert len(err) == 1 and err[0].startswith(f"error: {category}:")
+    if case == "diverging-run":
+        iteration = int(err[0].rsplit(" ", 1)[1])
+        assert iteration > 1
+        assert read_trace_csv(out).column("t") == list(range(1, iteration))
+
+
+def test_main_called_from_python_leaves_the_heap_unfrozen(tmp_path, capsys):
+    # only the process entry freezes: a host process that imports priorsolve,
+    # such as a test runner or a notebook, keeps its garbage collection
+    path = write_orthonormal_generator(tmp_path)
+    assert main(["estimate-geometry", "--generator", str(path), "--pairs", "50"]) == 0
+    assert gc.get_freeze_count() == 0
+
+
+def test_console_script_runs_the_module_entry():
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    project = tomllib.loads((CONFIGS.parent / "pyproject.toml").read_text())
+    module, _, name = project["project"]["scripts"]["priorsolve"].partition(":")
+    # `python -m priorsolve` runs the module priorsolve.__main__ as __main__
+    assert module == "priorsolve.__main__"
+    source = Path(importlib.import_module(module).__file__).read_text()
+    (guard,) = [node for node in ast.parse(source).body if isinstance(node, ast.If)]
+    assert ast.unparse(guard.test) == "__name__ == '__main__'"
+    assert [ast.unparse(node) for node in guard.body] == [f"sys.exit({name}())"]
