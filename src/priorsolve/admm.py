@@ -416,9 +416,11 @@ def suggest_step_sizes(nu, kappa_hat, rho):
     """(alpha, beta, gd_step) for a loss of smoothness nu: alpha = 1/nu while
     rho < nu, else 1/(nu + rho), so alpha (nu + rho) < 2 keeps the linearized
     w step stable; beta = 1/(rho kappa_hat^2); gd_step = 1/(nu kappa_hat^2).
-    Raises ValueError when a step underflows to 0.0."""
-    if not kappa_hat > 0.0:
-        raise ValueError("kappa_hat must be strictly positive")
+    Raises ValueError when kappa_hat is not positive and finite (a sampled
+    estimate of an overflowing generator is inf or nan) or a step underflows
+    to 0.0."""
+    if not 0.0 < kappa_hat < math.inf:  # also false for nan
+        raise ValueError(f"kappa_hat must be positive and finite, got {kappa_hat}")
     if not rho > 0.0:
         raise ValueError("rho must be strictly positive")
     if not nu > 0.0:

@@ -13,9 +13,11 @@ and of the strong-smoothness constant nu bounding the linearization
 remainder ||G(z') - G(z) - DG(z)(z' - z)|| <= (nu / 2) * ||z' - z||^2,
 plus a JSON description format whose key lists are each stated once, in the
 _fields call that checks them.  A geometry estimate draws its points one at
-a time (only the random draws and each radial scalar), then scales them,
-takes the pair distances, runs one batched forward pass and one batched JVP
-over all of them at once.
+a time (only the random draws and each radial scalar), then scales them and
+takes the pair distances over all of them at once.  It evaluates the pairs
+in blocks, one batched forward pass and one batched JVP per block, sized so
+that no block array holds more than about _BLOCK_ELEMENTS values: its memory
+beyond the drawn pairs stays bounded as the pair count grows.
 """
 
 import json
@@ -47,6 +49,9 @@ RANK_TOL = 1e-10
 DEGENERATE_PAIR_TOL = 1e-12
 # one estimate gives up once it has drawn this many candidates per pair
 MAX_DRAWS_PER_PAIR = 100
+# a geometry estimate evaluates its pairs in blocks whose widest array holds
+# about this many values (512 KiB of float64)
+_BLOCK_ELEMENTS = 1 << 16
 
 
 def _sigmoid(x):
@@ -179,6 +184,9 @@ class FeedforwardGenerator:
                     f"produces {layers[i - 1].weight.shape[0]}"
                 )
             s = np.linalg.svd(layer.weight, compute_uv=False)
+            if not math.isfinite(s[0]):  # the ratio below would read 0
+                raise ValueError(f"layer {i} weight's largest singular value "
+                                 "overflows")
             if s[-1] <= RANK_TOL * s[0]:
                 raise ValueError(
                     f"layer {i} weight is rank deficient "
@@ -318,9 +326,11 @@ def estimate_geometry(gen, n_pairs, seed):
     DEGENERATE_PAIR_TOL) are dropped and more are drawn until n_pairs
     remain; a ball too small to hold a non-degenerate pair, or one that
     yields too few of them in MAX_DRAWS_PER_PAIR * n_pairs draws, raises
-    ValueError.  All 2 n_pairs points are then evaluated by one batched
-    forward pass, and the linearizations DG(z1)(z2 - z1) by one batched JVP
-    on the z1 rows of its tape; no Jacobian is formed.
+    ValueError.  The pairs are then evaluated in blocks of at most
+    _BLOCK_ELEMENTS / (2 output_dim) pairs (at least one): one batched
+    forward pass over a block's points, and one batched JVP on the z1 rows
+    of its tape for the linearizations DG(z1)(z2 - z1); no Jacobian is
+    formed.  Every pair's values are the same bits for every block size.
     """
     if n_pairs < 1:
         raise ValueError("n_pairs must be at least 1")
@@ -343,25 +353,32 @@ def estimate_geometry(gen, n_pairs, seed):
         drawn += missing
         pairs = np.concatenate((pairs[keep], more))
         dists = np.concatenate((dists[keep], more_dists))
-    # rows [0, n) hold z1 and rows [n, 2n) hold z2 of the same pair
-    points = np.concatenate((pairs[:, 0], pairs[:, 1]))
-    tape = gen.forward(points, return_tape=True)
-    out = tape.output
-    dg = out[n_pairs:] - out[:n_pairs]
-    ratios = np.sqrt(np.vecdot(dg, dg)) / dists
-    # BLAS rounds a one-row product (gemv) differently from the rows of a
-    # larger one, and rows of larger ones do not depend on the row count, so
-    # the JVP runs on at least two rows (z1 and z2 of the pair at n_pairs =
-    # 1, the second with a zero tangent) to keep every pair's value the same
-    # for every n_pairs
-    rows = max(n_pairs, 2)
-    head = Tape(
-        points[:rows], out[:rows], tuple(a[:rows] for a in tape.preacts), tape.layers
-    )
-    steps = np.zeros((rows, dim))
-    steps[:n_pairs] = points[n_pairs:] - points[:n_pairs]
-    rem = dg - gen.jvp(head.z, steps, tape=head)[:n_pairs]
-    curvatures = 2.0 * np.sqrt(np.vecdot(rem, rem)) / dists**2
+    # pairs [lo, lo + b) form a block: rows [0, b) of its points hold z1 and
+    # rows [b, 2b) z2 of the same pair.  Widths never shrink, so no block
+    # array exceeds about _BLOCK_ELEMENTS values, whatever n_pairs is
+    block = max(1, _BLOCK_ELEMENTS // (2 * gen.output_dim))
+    ratios, curvatures = np.empty(n_pairs), np.empty(n_pairs)
+    for lo in range(0, n_pairs, block):
+        part, d = pairs[lo:lo + block], dists[lo:lo + block]
+        b = len(part)
+        points = np.concatenate((part[:, 0], part[:, 1]))
+        tape = gen.forward(points, return_tape=True)
+        out = tape.output
+        dg = out[b:] - out[:b]
+        ratios[lo:lo + b] = np.sqrt(np.vecdot(dg, dg)) / d
+        # BLAS rounds a one-row product (gemv) differently from the rows of a
+        # larger one, and rows of larger ones do not depend on the row count,
+        # so the JVP runs on at least two rows (z1 and z2 of a one-pair
+        # block, the second with a zero tangent) to keep every pair's value
+        # the same for every n_pairs and block size
+        rows = max(b, 2)
+        head = Tape(
+            points[:rows], out[:rows], tuple(a[:rows] for a in tape.preacts), tape.layers
+        )
+        steps = np.zeros((rows, dim))
+        steps[:b] = points[b:] - points[:b]
+        rem = dg - gen.jvp(head.z, steps, tape=head)[:b]
+        curvatures[lo:lo + b] = 2.0 * np.sqrt(np.vecdot(rem, rem)) / d**2
     return GeometryEstimate(
         iota_hat=float(ratios.min()),
         kappa_hat=float(ratios.max()),

@@ -155,7 +155,8 @@ class LeastSquares(SmoothLoss):
         use.  A wide A (m < d) is factored through A A^T (Boyd et al. 2011,
         4.2.4): eigh gives s^2 and u, vt = s^-1 u^T A, and eigenvalues at the
         Gram's rounding floor are dropped (all of them for A = 0), so s > 0
-        and A = u s vt up to sqrt(d eps) s[0].  Tall A keeps np.linalg.svd:
+        and A = u s vt up to sqrt(d eps) s[0]; vt is divided by s in place,
+        so no second (k, d) array is made.  Tall A keeps np.linalg.svd:
         mu > 0 is judged at RANK_TOL on s, below what s^2 resolves."""
         if self._svd is None:
             a = self.matrix
@@ -167,7 +168,9 @@ class LeastSquares(SmoothLoss):
                 e, u = np.linalg.eigh(b @ b.T)  # ascending
                 keep = np.flatnonzero(e > self.dim * np.finfo(float).eps * e[-1])[::-1]
                 s, u = np.sqrt(e[keep]), u[:, keep]
-                self._svd = (u, np.ldexp(s, k), (u.T @ b) / s[:, None])
+                vt = u.T @ b
+                vt /= s[:, None]
+                self._svd = (u, np.ldexp(s, k), vt)
         return self._svd
 
     def normal_rhs(self):

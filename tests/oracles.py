@@ -7,8 +7,8 @@ than tautology.  The exceptions are the geometry oracles, which draw their
 pairs one point at a time, in the library's stream order, and evaluate them
 on the library's generator: serial_geometry through its dense Jacobian, one
 pair at a time, to check the batched evaluation, and sequential_geometry
-through the same batched passes as the library, to check its draws bit for
-bit.
+through one batched pass over all pairs, to check the library's draws and
+its blocked evaluation bit for bit.
 """
 
 import math
@@ -166,8 +166,9 @@ def geometry_pairs(gen, n_pairs, seed):
 
 def sequential_geometry(gen, n_pairs, seed):
     """estimate_geometry on the pairs of geometry_pairs: one batched forward
-    pass over all points and one batched JVP on at least two z1 rows, so it
-    must equal the library's estimate exactly."""
+    pass over all points and one batched JVP on at least two z1 rows.  Rows
+    of a product of two or more rows do not depend on the row count, so it
+    must equal the library's estimate exactly, whatever its block size."""
     z1, z2, dists = (np.array(col) for col in zip(*geometry_pairs(gen, n_pairs, seed)))
     points = np.concatenate((z1, z2))
     tape = gen.forward(points, return_tape=True)

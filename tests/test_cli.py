@@ -518,6 +518,22 @@ TWO_LAYERS_OF_MISMATCHED_WIDTH = [
 ]
 
 
+def one_layer(kind, scale, rows):
+    """A one-layer stack whose weights are the given rows times scale."""
+    return [{"activation": kind, "weights": [[scale * x for x in r] for r in rows]}]
+
+
+# full rank, but sigma_max = sqrt(3) 1.5e308 overflows
+SVD_OVERFLOW = one_layer("identity", 1.5e308, [[1, 0], [0, 1], [1, 1]])
+# ||G(z2) - G(z1)||^2 overflows, so every difference quotient is inf
+KAPPA_INF = one_layer("identity", 1e200, [[1, 0], [0, 1], [1, 1]])
+# on a radius-100 ball the pre-activations overflow to inf on both points of
+# a pair, so the ELU outputs differ by inf - inf = nan
+KAPPA_NAN = one_layer(
+    "elu", 1e306, [[3, 0], [0, 3], [3, 3], [3, -3], [-3, 3], [-3, -3], [1, 2], [2, 1]]
+)
+
+
 @pytest.mark.parametrize(
     "argv, edits, message",
     [
@@ -551,6 +567,12 @@ TWO_LAYERS_OF_MISMATCHED_WIDTH = [
          "rho too large: beta = 1/(rho kappa_hat^2) underflows"),
         (["run"], [("rho = 0.1", "rho = 1e308")],
          "rho too large: beta = 1/(rho kappa_hat^2) underflows"),
+        (["estimate-geometry"], [(("layers",), SVD_OVERFLOW)],
+         "cannot load generator: layer 0 weight's largest singular value overflows"),
+        (["estimate-geometry"], [(("layers",), KAPPA_INF)],
+         "kappa_hat must be positive and finite, got inf"),
+        (["estimate-geometry"], [(("layers",), KAPPA_NAN), (("domain_radius",), 100.0)],
+         "kappa_hat must be positive and finite, got nan"),
     ],
 )
 def test_input_check_fails_with_one_line(tmp_path, capsys, argv, edits, message):

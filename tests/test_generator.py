@@ -1,7 +1,10 @@
 """Generator forward/derivative correctness against independent oracles."""
 
+import importlib.util
 import json
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 
 from helpers import REFERENCE_GENERATOR, random_net, with_field
 from oracles import fd_grad, fd_jacobian, uniform_ball_point
+from priorsolve import generator
 from priorsolve.generator import (
     DEGENERATE_PAIR_TOL,
     MAX_DRAWS_PER_PAIR,
@@ -22,6 +26,7 @@ from priorsolve.generator import (
 )
 
 RNG = np.random.default_rng
+WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 
 
 def test_activation_reference_values():
@@ -262,6 +267,41 @@ def test_geometry_monotone_under_sample_extension():
         assert b.iota_hat <= a.iota_hat
         assert b.kappa_hat >= a.kappa_hat
         assert b.nu_g_hat >= a.nu_g_hat
+
+
+def test_geometry_blocks_keep_nan_and_inf_extremes(monkeypatch):
+    # with weights 2e306 on a radius-100 ball ||G(z2) - G(z1)||^2 overflows
+    # for some pairs (ratio inf) but not for others (ratio 0: ELU saturates
+    # at -1 on both points), and a later pair's remainder is inf - inf = nan.
+    # One-pair blocks reduce the extremes as one batch does: nan wins over
+    # an earlier inf, where max(inf, nan) would keep the inf
+    layer = Layer(2e306 * np.eye(2), np.zeros(2), Activation("elu"))
+    gen = FeedforwardGenerator([layer], domain_radius=100.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        whole = estimate_geometry(gen, n_pairs=10, seed=0)
+        monkeypatch.setattr(generator, "_BLOCK_ELEMENTS", 1)
+        blocked = estimate_geometry(gen, n_pairs=10, seed=0)
+    assert (whole.iota_hat, whole.kappa_hat) == (0.0, math.inf)
+    assert math.isnan(whole.nu_g_hat)
+    assert repr(blocked) == repr(whole)
+
+
+def test_geometry_memory_does_not_grow_with_the_pair_count(tmp_path):
+    # the benchmark's 20 -> 256 -> 784 generator: one batch of 2000 pairs
+    # peaked at 97 MiB, blocks of 41 pairs at under 4 MiB
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    path = tmp_path / "cs.json"
+    path.write_text(json.dumps(workloads.cs_generator_doc(1)))
+    gen = load_generator(path)
+    tracemalloc.start()
+    try:
+        estimate_geometry(gen, n_pairs=2000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_geometry_stabilizes_when_samples_double():

@@ -10,6 +10,7 @@ import pytest
 import priorsolve.config
 import priorsolve.harness
 from helpers import random_net
+from priorsolve import generator
 from priorsolve.admm import (
     AdmmConfig,
     AdmmState,
@@ -29,18 +30,18 @@ REFERENCE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "referen
 
 class CountingGenerator(FeedforwardGenerator):
     """A real generator that counts forward traces (including those vjp,
-    jvp and jacobian would run internally), logging the latent shape of
+    jvp and jacobian would run internally), logging a copy of the latent of
     each, and backward passes."""
 
     def __init__(self, inner):
         super().__init__(inner.layers, inner.domain_radius)
         self.traces = 0
         self.vjps = 0
-        self.traced_shapes = []
+        self.traced = []
 
     def _forward_trace(self, z):
         self.traces += 1
-        self.traced_shapes.append(np.shape(z))
+        self.traced.append(np.copy(z))
         return super()._forward_trace(z)
 
     def vjp(self, z, u, tape=None):
@@ -49,7 +50,7 @@ class CountingGenerator(FeedforwardGenerator):
 
     def reset(self):
         self.traces = self.vjps = 0
-        self.traced_shapes = []
+        self.traced = []
 
 
 def cs_problem(gen, seed=0):
@@ -109,12 +110,24 @@ def test_run_gd_runs_one_forward_and_one_vjp_per_iteration():
 
 
 @pytest.mark.parametrize("n_pairs", [1, 25])
-def test_estimate_geometry_runs_one_forward_trace_of_all_pairs(n_pairs):
+def test_estimate_geometry_runs_one_forward_trace_of_all_pairs(n_pairs, monkeypatch):
     gen = CountingGenerator(random_net(34, kinds=("elu", "tanh")))
     gen.reset()
     estimate_geometry(gen, n_pairs, seed=3)
-    assert gen.traced_shapes == [(2 * n_pairs, gen.input_dim)]
+    (whole,) = gen.traced
+    assert whole.shape == (2 * n_pairs, gen.input_dim)
     assert gen.vjps == 0
+    # blocks of 7 pairs: one trace per block, its z1 rows then its z2 rows,
+    # which together visit every pair once in stream order
+    monkeypatch.setattr(generator, "_BLOCK_ELEMENTS", 2 * 7 * gen.output_dim)
+    gen.reset()
+    estimate_geometry(gen, n_pairs, seed=3)
+    sizes = [min(7, n_pairs - lo) for lo in range(0, n_pairs, 7)]
+    assert [z.shape for z in gen.traced] == [(2 * b, gen.input_dim) for b in sizes]
+    assert gen.vjps == 0
+    blocks = [np.split(z, 2) for z in gen.traced]
+    for half, rows in enumerate(np.split(whole, 2)):
+        np.testing.assert_array_equal(np.concatenate([b[half] for b in blocks]), rows)
 
 
 def test_compare_estimates_geometry_once(tmp_path, monkeypatch):

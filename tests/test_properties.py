@@ -268,13 +268,19 @@ def test_geometry_matches_serial_oracle(data):
 def test_geometry_equals_its_sequential_draw_oracle(data):
     """The vectorized draws keep the stream, the roundings and the pairs of
     the one-point-at-a-time loop, also when degenerate pairs are dropped: a
-    pair tolerance of up to the domain radius (3) forces redraws."""
+    pair tolerance of up to the domain radius (3) forces redraws.  Evaluating
+    the pairs in blocks, from one pair per block up to all in one, keeps the
+    values of the one batch the oracle evaluates."""
     gen = data.draw(generators())
     n_pairs = data.draw(st.integers(1, 40))
     seed = data.draw(st.integers(0, 2**64 - 1))
     tol = data.draw(st.just(generator.DEGENERATE_PAIR_TOL) | st.floats(0.5, 3.0))
+    block_elements = data.draw(
+        st.just(generator._BLOCK_ELEMENTS) | st.integers(1, 2 * gen.output_dim * n_pairs)
+    )
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(generator, "DEGENERATE_PAIR_TOL", tol)
+        mp.setattr(generator, "_BLOCK_ELEMENTS", block_elements)
         assert estimate_geometry(gen, n_pairs, seed) == sequential_geometry(
             gen, n_pairs, seed
         )
