@@ -38,12 +38,11 @@ says why a run stopped: "tol" (later stages are then skipped), "budget" or
 
 aug_lagrangian, grad_w_lagrangian, grad_z_lagrangian and dual_update state
 these formulas once, on values an iteration already holds and row by row on
-(B, d) stacks; admm_step, the lockstep sweep in harness and
-gd_admm_step_gap call them.  Closed-form w steps live on the losses
-(w_minimizer); admm_step and the sweep reach them through exact_w_min.  One
-run loop, _drive, steps each stage of run and gd.run_gd, and owns the
-clock, the observer, the stop test, the stop reason and the partial trace a
-NonFiniteError carries.
+(B, d) stacks; admm_step and the lockstep sweep in harness call them.
+Closed-form w steps live on the losses (w_minimizer); admm_step and the
+sweep reach them through exact_w_min.  One run loop, _drive, steps each
+stage of run and gd.run_gd, and owns the clock, the observer, the stop
+test, the stop reason and the partial trace a NonFiniteError carries.
 
 Finiteness is tested on scalars a step holds anyway: ||z_{t+1} - z_t||^2 for z,
 ||w_{t+1} - w_t||^2 for w and the Lagrangian (through <lambda, r>) for lambda.
@@ -184,13 +183,13 @@ class SplitProblem:
     reg_z: object
 
 
-def initial_state(problem, cfg, z0, w0=None, lam0=None):
-    """Fresh state at t = 1 carrying the tape of z0: w defaults to G(z0),
-    the dual to zero."""
+def initial_state(problem, cfg, z0):
+    """Fresh state at t = 1 carrying the tape of z0, with w = G(z0) and a
+    zero dual.  dataclasses.replace(state, w=..., lam=...) starts elsewhere
+    and keeps the tape, since z does not change."""
     z0 = np.asarray(z0, dtype=float)
     tape = problem.gen.forward(z0, return_tape=True)
-    w0 = tape.output if w0 is None else np.asarray(w0, dtype=float)
-    lam0 = np.zeros(w0.size) if lam0 is None else np.asarray(lam0, dtype=float)
+    w0, lam0 = tape.output, np.zeros(tape.output.size)
     return AdmmState(w=w0, z=z0, lam=lam0, sigma=cfg.sigma0, t=1, tape=tape)
 
 

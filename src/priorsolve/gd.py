@@ -9,14 +9,9 @@ iteration runs one generator forward pass at the new point, keeps its
 tape, and runs one VJP on that tape; one loss evaluation gives both the
 objective and the cotangent grad L(G(z)).
 
-After an exact w minimization and the following dual update, one ADMM
-z-step and one GD step from the same latent point differ by at most
-
-    beta * (sigma_t * kappa_G + nu_L) * ||w_t - G(z_t)||,
-
-so the two algorithms coincide as the splitting becomes feasible;
-gd_admm_discrepancy evaluates that bound and gd_admm_step_gap the actual
-one-step difference.
+The splitting solver's z-step approaches one step of this descent as its
+iterates become feasible; the test helpers state that one-step bound and
+evaluate it.
 
 Finiteness is tested as in admm: ||z_{t+1} - z_t|| guards z_{t+1}, before the
 forward pass, and the stop metric ||grad h|| guards the gradient.
@@ -27,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admm import NonFiniteError, _drive, _ensure_finite, grad_z_lagrangian
+from .admm import NonFiniteError, _drive, _ensure_finite
 from .generator import _norm
 from .trace import RunTrace, TraceRecord
 
@@ -35,8 +30,6 @@ __all__ = [
     "GdConfig",
     "grad_h",
     "run_gd",
-    "gd_admm_discrepancy",
-    "gd_admm_step_gap",
     "tune_gd_step",
 ]
 
@@ -110,25 +103,6 @@ def run_gd(loss, gen, cfg, z0, planted=None):
     point = (1, z0, grad_h(loss, gen, z0, tape0), tape0.output)
     point = _drive(step, point, cfg.max_iters, cfg.grad_tol, trace, t0)
     return point[1], trace
-
-
-def gd_admm_discrepancy(loss, gen, kappa_hat, beta, sigma_t, w, z):
-    """Bound beta (sigma_t kappa_hat + nu_L) ||w - G(z)|| on the one-step
-    difference between the ADMM z-update and a GD step (see module
-    docstring for when it applies)."""
-    nu = loss.convexity_constants()[1]
-    gap = _norm(np.asarray(w, dtype=float) - gen.forward(z))
-    return beta * (sigma_t * kappa_hat + nu) * gap
-
-
-def gd_admm_step_gap(loss, gen, beta, rho, state):
-    """Actual ||z_admm - z_gd|| after one ADMM z-step (no z-penalty) and
-    one GD step of size beta from state.z."""
-    tape = gen.forward(state.z, return_tape=True)
-    resid = state.w - tape.output
-    z_admm = state.z - beta * grad_z_lagrangian(gen, tape, state.lam, resid, rho)
-    z_gd = state.z - beta * grad_h(loss, gen, state.z, tape)
-    return _norm(z_admm - z_gd)
 
 
 def tune_gd_step(loss, gen, z0s, steps, budget):

@@ -35,7 +35,6 @@ __all__ = [
     "FeedforwardGenerator",
     "GeometryEstimate",
     "estimate_geometry",
-    "save_generator",
     "load_generator",
 ]
 
@@ -393,28 +392,6 @@ def estimate_geometry(gen, n_pairs, seed):
 # JSON description files
 
 
-def _layer_to_dict(layer):
-    out = {"activation": layer.activation.kind}
-    if layer.activation.kind == "elu":
-        out["elu_alpha"] = layer.activation.elu_alpha
-    out["weights"] = layer.weight.tolist()
-    out["bias_values"] = layer.bias.tolist()
-    return out
-
-
-def save_generator(gen, path):
-    """Write an explicit (lossless) JSON description of the generator."""
-    doc = {
-        "schema": 1,
-        "input_dim": gen.input_dim,
-        "domain_radius": gen.domain_radius,
-        "layers": [_layer_to_dict(l) for l in gen.layers],
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
-
-
 def _fields(doc, where, required, optional=()):
     """doc, once it is a JSON object with every required key and no key
     outside required and optional."""
@@ -435,13 +412,16 @@ def _number(value, where, kind=float):
 
 
 def _materialize_layer(doc, index):
-    doc = _fields(doc, f"layer {index}", ("activation",),
-                  ("elu_alpha", "bias", "init", "weights", "bias_values"))
+    if isinstance(doc, dict) and ("init" in doc) == ("weights" in doc):
+        raise ValueError(f"layer {index} needs exactly one of 'init' or 'weights'")
+    # each form has its own keys: an explicit layer its bias values, a
+    # seeded one the switch for its drawn bias
+    explicit = isinstance(doc, dict) and "weights" in doc
+    form, bias = ("weights", "bias_values") if explicit else ("init", "bias")
+    doc = _fields(doc, f"layer {index}", ("activation", form), ("elu_alpha", bias))
     alpha = _number(doc.get("elu_alpha", 1.0), f"layer {index} 'elu_alpha'")
     act = Activation(doc["activation"], elu_alpha=alpha)
-    if ("init" in doc) == ("weights" in doc):
-        raise ValueError(f"layer {index} needs exactly one of 'init' or 'weights'")
-    if "weights" in doc:
+    if explicit:
         try:
             w = np.asarray(doc["weights"], dtype=float)
             b = np.asarray(doc.get("bias_values", np.zeros(w.shape[:1])), dtype=float)
@@ -453,20 +433,25 @@ def _materialize_layer(doc, index):
     rows, cols, seed = (_number(init[key], f"layer {index} init {key!r}", int)
                         for key in ("rows", "cols", "seed"))
     scale = _number(init.get("scale", 1.0), f"layer {index} init 'scale'")
-    rng = np.random.default_rng(seed)
-    if init["kind"] == "uniform":
-        w = rng.uniform(-scale, scale, size=(rows, cols)) / math.sqrt(cols)
-    elif init["kind"] == "orthonormal":
-        if rows < cols:
-            raise ValueError(f"layer {index}: orthonormal init needs rows >= cols")
-        q, r = np.linalg.qr(rng.standard_normal((rows, cols)))
-        w = scale * (q * np.sign(np.diag(r)))
-    else:
-        raise ValueError(f"layer {index}: unknown init kind {init['kind']!r}")
+    kind = init["kind"]
+    if kind not in ("uniform", "orthonormal"):
+        raise ValueError(f"layer {index}: unknown init kind {kind!r}")
+    if kind == "orthonormal" and rows < cols:
+        raise ValueError(f"layer {index}: orthonormal init needs rows >= cols")
     use_bias = doc.get("bias", True)
     if not isinstance(use_bias, bool):
         raise ValueError(f"layer {index}: 'bias' must be a boolean")
-    b = rng.uniform(-scale, scale, size=rows) if use_bias else np.zeros(rows)
+    # the seed, the shape or the scale can still be beyond what numpy draws
+    try:
+        rng = np.random.default_rng(seed)
+        if kind == "uniform":
+            w = rng.uniform(-scale, scale, size=(rows, cols)) / math.sqrt(cols)
+        else:
+            q, r = np.linalg.qr(rng.standard_normal((rows, cols)))
+            w = scale * (q * np.sign(np.diag(r)))
+        b = rng.uniform(-scale, scale, size=rows) if use_bias else np.zeros(rows)
+    except (ValueError, OverflowError, MemoryError) as exc:
+        raise ValueError(f"layer {index}: cannot draw its {kind} init: {exc}") from None
     return Layer(w, b, act)
 
 

@@ -7,13 +7,21 @@ their numeric margins).  Guarantees that ride on a concrete problem use the
 shipped reference generator under ``configs/``.
 """
 
+import dataclasses
 import math
 import time
 from pathlib import Path
 
 import numpy as np
 
-from helpers import lagrangian_at, lagrangian_grads, linear_generator, random_net
+from helpers import (
+    gd_admm_discrepancy,
+    gd_admm_step_gap,
+    lagrangian_at,
+    lagrangian_grads,
+    linear_generator,
+    random_net,
+)
 from oracles import (
     dual_norm_cap,
     fd_grad,
@@ -31,13 +39,7 @@ from priorsolve.admm import (
     suggest_step_sizes,
 )
 from priorsolve.cli import main as cli_main
-from priorsolve.gd import (
-    GdConfig,
-    gd_admm_discrepancy,
-    gd_admm_step_gap,
-    grad_h,
-    run_gd,
-)
+from priorsolve.gd import GdConfig, grad_h, run_gd
 from priorsolve.generator import estimate_geometry, load_generator
 from priorsolve.harness import best_lagrangian, build_instance, fit_rate, plateau_vs_rho
 from priorsolve.losses import LeastSquares, QuadraticDenoise
@@ -272,7 +274,9 @@ def test_acceptance_04_dual_norm_cap():
 
     worst = 0.0
     for label, problem, cfg, z0, lam0 in runs:
-        state = initial_state(problem, cfg, z0, lam0=lam0)
+        state = initial_state(problem, cfg, z0)
+        if lam0 is not None:
+            state = dataclasses.replace(state, lam=lam0)
         lam0_norm = float(np.linalg.norm(state.lam))
         records = []
         run(problem, cfg, state, observer=_cap_recorder(records))

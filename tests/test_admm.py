@@ -406,8 +406,8 @@ def test_dual_norm_stays_under_schedule_cap():
     ]
     for problem, mode, lam0 in cases:
         cfg = base_config(max_iters=60, tau_c=1e-30, w_step=mode, sigma0=0.8)
-        state = initial_state(
-            problem, cfg, z0=rng.standard_normal(2) * 0.5, lam0=lam0
+        state = dataclasses.replace(
+            initial_state(problem, cfg, z0=rng.standard_normal(2) * 0.5), lam=lam0
         )
         lam0_norm = float(np.linalg.norm(lam0))
         seen = []
@@ -443,7 +443,9 @@ def tanh_problem():
 def test_infinite_latent_with_finite_image_raises_z():
     problem = tanh_problem()
     cfg = base_config(beta=1e308)
-    state = initial_state(problem, cfg, z0=np.zeros(2), w0=np.full(2, 5.0))
+    state = dataclasses.replace(
+        initial_state(problem, cfg, z0=np.zeros(2)), w=np.full(2, 5.0)
+    )
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError) as info:
         run(problem, cfg, state)
     assert (info.value.quantity, info.value.iteration) == ("z", 1)
@@ -453,7 +455,9 @@ def test_infinite_latent_with_finite_image_raises_z():
 def test_finite_step_whose_square_overflows_does_not_raise():
     problem = tanh_problem()
     cfg = base_config(beta=1e200)
-    state = initial_state(problem, cfg, z0=np.zeros(2), w0=np.full(2, 5.0))
+    state = dataclasses.replace(
+        initial_state(problem, cfg, z0=np.zeros(2)), w=np.full(2, 5.0)
+    )
     with np.errstate(over="ignore"):
         new, record = admm_step(problem, cfg, state)
     np.testing.assert_array_equal(new.z, np.full(2, 1e200 * 2.5))

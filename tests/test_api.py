@@ -39,8 +39,6 @@ EXPORTS = [
     "build_instance",
     "estimate_geometry",
     "fit_rate",
-    "gd_admm_discrepancy",
-    "gd_admm_step_gap",
     "grad_h",
     "grad_w_lagrangian",
     "grad_z_lagrangian",
@@ -52,7 +50,6 @@ EXPORTS = [
     "read_trace_csv",
     "run",
     "run_gd",
-    "save_generator",
     "suggest_step_sizes",
     "tune_gd_step",
     "write_summary_csv",

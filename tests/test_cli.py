@@ -17,22 +17,10 @@ import pytest
 
 import priorsolve
 from priorsolve.cli import main
-from priorsolve.generator import (
-    Activation,
-    FeedforwardGenerator,
-    Layer,
-    save_generator,
-)
+from priorsolve.generator import Activation, FeedforwardGenerator, Layer
 from priorsolve.trace import read_trace_csv
 
-from helpers import REFERENCE_GENERATOR, random_net, with_field
-
-
-def write_generator(tmp_path, name="gen.json", seed=5, **kw):
-    gen = random_net(seed=seed, **kw)
-    path = tmp_path / name
-    save_generator(gen, path)
-    return gen, path
+from helpers import REFERENCE_GENERATOR, with_field, write_generator
 
 
 def write_orthonormal_generator(tmp_path, rows=5, cols=2, name="ortho.json"):
@@ -573,6 +561,22 @@ KAPPA_NAN = one_layer(
          "kappa_hat must be positive and finite, got inf"),
         (["estimate-geometry"], [(("layers",), KAPPA_NAN), (("domain_radius",), 100.0)],
          "kappa_hat must be positive and finite, got nan"),
+        (["estimate-geometry"], [(("layers", 0, "init", "kind"), "uniform"),
+                                 (("layers", 0, "init", "scale"), 9e307)],
+         "cannot load generator: layer 0: cannot draw its uniform init: "
+         "high - low range exceeds valid bounds"),
+        # a 256 PiB weight matrix: numpy refuses it before allocating anything
+        (["estimate-geometry"], [(("input_dim",), 2**20),
+                                 (("layers", 0, "init", "rows"), 2**35),
+                                 (("layers", 0, "init", "cols"), 2**20)],
+         "cannot load generator: layer 0: cannot draw its orthonormal init: "
+         "Unable to allocate 256. PiB for an array with shape (34359738368, 1048576) "
+         "and data type float64"),
+        (["estimate-geometry"], [(("layers", 0, "bias_values"), [9.0] * 5)],
+         "cannot load generator: unknown key(s) ['bias_values'] in layer 0"),
+        (["estimate-geometry"], [(("layers",), [{"activation": "identity", "bias": False,
+                                                "weights": [[1, 0], [0, 1], [1, 1]]}])],
+         "cannot load generator: unknown key(s) ['bias'] in layer 0"),
     ],
 )
 def test_input_check_fails_with_one_line(tmp_path, capsys, argv, edits, message):
@@ -680,8 +684,8 @@ def test_estimate_geometry_on_a_ball_too_small_for_any_pair(tmp_path, capsys):
     # every pair in a ball of diameter 2e-13 is degenerate, so drawing pairs
     # would never end; the estimate refuses before the first draw
     layer = Layer(np.eye(3, 2), np.zeros(3), Activation("identity"))
-    path = tmp_path / "tiny.json"
-    save_generator(FeedforwardGenerator([layer], domain_radius=1e-13), path)
+    gen = FeedforwardGenerator([layer], domain_radius=1e-13)
+    _, path = write_generator(tmp_path, gen, name="tiny.json")
     assert main(["estimate-geometry", "--generator", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -694,8 +698,8 @@ def test_estimate_geometry_on_a_ball_that_rarely_yields_a_pair(tmp_path, capsys)
     # non-degenerate pairs exist in a ball of diameter 1.00002e-12 but are
     # almost never drawn; the estimate gives up instead of spinning
     layer = Layer(np.eye(3, 2), np.zeros(3), Activation("identity"))
-    path = tmp_path / "tiny.json"
-    save_generator(FeedforwardGenerator([layer], domain_radius=5.0001e-13), path)
+    gen = FeedforwardGenerator([layer], domain_radius=5.0001e-13)
+    _, path = write_generator(tmp_path, gen, name="tiny.json")
     assert main(["estimate-geometry", "--generator", str(path), "--pairs", "5"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

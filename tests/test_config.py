@@ -16,18 +16,11 @@ from priorsolve.config import (
     parse_config,
     solver_settings,
 )
-from priorsolve.generator import estimate_geometry, save_generator
+from priorsolve.generator import estimate_geometry
 from priorsolve.harness import INSTANCE_KINDS
 from priorsolve.losses import QuadraticDenoise, ScaledQuadratic
 
-from helpers import random_net
-
-
-def write_generator(tmp_path, name="gen.json", seed=5, **kw):
-    gen = random_net(seed=seed, **kw)
-    path = tmp_path / name
-    save_generator(gen, path)
-    return gen, path
+from helpers import write_generator
 
 
 def write_config(tmp_path, text, name="run.ini"):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import linear_generator, random_net
+from helpers import gd_admm_discrepancy, gd_admm_step_gap, linear_generator, random_net
 from oracles import fd_grad, uniform_ball_point
 from priorsolve.admm import (
     AdmmConfig,
@@ -14,8 +14,6 @@ from priorsolve.admm import (
 )
 from priorsolve.gd import (
     GdConfig,
-    gd_admm_discrepancy,
-    gd_admm_step_gap,
     grad_h,
     run_gd,
     tune_gd_step,
