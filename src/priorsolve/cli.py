@@ -11,7 +11,10 @@ Subcommands:
     planted instance from one start.  Writes gd_trace.csv, admm_trace.csv,
     eadmm_trace.csv and summary.csv into the output directory with wall
     clocks zeroed, so repeated invocations are byte-identical.  Prints one
-    result line per solver, ending in stop= as run's does.
+    result line per solver, ending in stop= as run's does.  The three solves
+    run in up to one process per core this process may use (one where
+    os.fork is missing); the files, the output and the exit code do not
+    depend on that count.
 ``estimate-geometry --generator FILE``
     Print the sampled geometry constants and the step sizes they suggest as
     key=value lines.
@@ -24,9 +27,12 @@ Subcommands:
 Exit codes: 0 success, 1 configuration problem, 2 numerical failure.  Every
 failure emits a single machine-readable line ``error: <category>: <detail>``
 on standard error; floating-point traps during a diverging run surface
-through the exit-2 path rather than as warnings.  A ``run`` or ``compare``
-that fails numerically still writes the rows each solver completed to its
-trace file (``compare`` then writes no summary).  The trace module writes
+through the exit-2 path rather than as warnings.  A ``run`` that fails
+numerically still writes the rows it completed to its trace file.  A
+``compare`` that does keeps the traces of the solvers before the failing one,
+in gd, admm, eadmm order, writes the rows the failing one completed, and
+writes no summary.  A ``compare`` worker process that raises or ends
+without sending its results fails with exit code 1.  The trace module writes
 every CSV artifact and formats every float printed; this module opens no file.
 
 The console script and ``python -m priorsolve`` run :func:`main` through
@@ -37,6 +43,8 @@ The console script and ``python -m priorsolve`` run :func:`main` through
 import argparse
 import math
 import os
+import pickle
+import signal
 import sys
 
 import numpy as np
@@ -134,35 +142,106 @@ def _print_result(algo, trace):
     )
 
 
-def _solve(method, settings, gen, inst, trace_path, zero_wall, geometry=None):
-    """Run one method from z = 0 and write its trace to trace_path (None
-    writes nothing).  The solver config, including the gd step fallback,
-    comes from config.solver_settings; geometry, the result of
-    step_geometry, spares re-estimating it per method.  On a numerical
-    failure the rows the run completed are written before the error
-    propagates."""
+def _solve(method, cfg, gen, inst):
+    """Run one method from z = 0 under its resolved solver config and return
+    its trace.  A NonFiniteError carries the rows the run completed."""
     z0 = np.zeros(gen.input_dim)
-    cfg = solver_settings(settings, gen, inst, method, geometry)
+    if method == "gd":
+        return run_gd(inst.problem.loss, gen, cfg, z0, planted=inst.planted)[1]
+    state = initial_state(inst.problem, cfg, z0)
+    return run(inst.problem, cfg, state, planted=inst.planted)[1]
+
+
+def _solve_each(cfgs, gen, inst):
+    """{method: (trace, None)} for each method of cfgs, {method: config}, in
+    order until the first that fails numerically.  That one gets (its partial
+    trace, (quantity, iteration)), and no later method runs."""
+    outcomes = {}
+    for method, cfg in cfgs.items():
+        try:
+            outcomes[method] = _solve(method, cfg, gen, inst), None
+        except NonFiniteError as exc:  # the run loop attached the rows it completed
+            outcomes[method] = exc.trace, (exc.quantity, exc.iteration)
+            break
+    return outcomes
+
+
+def _solve_split(cfgs, gen, inst):
+    """_solve_each's outcomes of every method in cfgs, each process stopping
+    at its own first numerical failure.  n processes share the methods, one
+    per core this process may run on and at most one per method (one without
+    os.fork); process i solves every n-th method from the i-th.  Process 0
+    is this one and the others are forked workers that pickle their outcomes
+    through a pipe.  Every worker is reaped on every path, and killed first
+    unless all went well.  A worker that raises or ends without its outcomes
+    raises ChildProcessError."""
+    methods = list(cfgs)
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    n = min(len(methods), cores) if hasattr(os, "fork") else 1
+    workers, unreaped = [], set()
     try:
-        if method == "gd":
-            _, trace = run_gd(inst.problem.loss, gen, cfg, z0, planted=inst.planted)
-        else:
-            state = initial_state(inst.problem, cfg, z0)
-            _, trace = run(inst.problem, cfg, state, planted=inst.planted)
-    except NonFiniteError as exc:  # the run loop attached the rows it completed
-        if trace_path is not None:
-            write_trace_csv(exc.trace, trace_path, zero_wall=zero_wall)
-        raise
-    if trace_path is not None:
-        write_trace_csv(trace, trace_path, zero_wall=zero_wall)
+        for i in range(1, n):
+            share = {m: cfgs[m] for m in methods[i::n]}
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the worker leaves only through os._exit
+                code = 1
+                try:
+                    os.close(read)
+                    try:
+                        payload = _solve_each(share, gen, inst)
+                    except Exception as exc:  # the parent reports it in one line
+                        payload = f"{type(exc).__name__}: {exc}"
+                    with open(write, "wb") as pipe:
+                        pickle.dump(payload, pipe)
+                    code = 0
+                finally:
+                    os._exit(code)
+            unreaped.add(pid)
+            os.close(write)
+            workers.append((pid, open(read, "rb"), ", ".join(share)))
+        outcomes = _solve_each({m: cfgs[m] for m in methods[::n]}, gen, inst)
+        for pid, pipe, names in workers:
+            data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            unreaped.discard(pid)
+            if code != 0:
+                raise ChildProcessError(f"the worker solving {names} ended "
+                                        f"with exit code {code}")
+            payload = pickle.loads(data)
+            if isinstance(payload, str):
+                raise ChildProcessError(f"the worker solving {names} failed: {payload}")
+            outcomes.update(payload)
+    finally:
+        for pid, pipe, _ in workers:
+            pipe.close()
+        for pid in unreaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return outcomes
+
+
+def _write_trace(outcome, path, zero_wall):
+    """Write an outcome's trace to path (None writes nothing) and return it;
+    for a failed solve, raise its NonFiniteError once the rows it completed
+    are written."""
+    trace, failure = outcome
+    if path is not None:
+        write_trace_csv(trace, path, zero_wall=zero_wall)
+    if failure is not None:
+        raise NonFiniteError(*failure)
     return trace
 
 
 def cmd_run(args):
     settings = parse_config(args.config, command="run")
     gen, inst = load_problem(settings)
-    trace = _solve(settings.method, settings, gen, inst,
-                   settings.trace_file, settings.zero_wall)
+    cfgs = {settings.method: solver_settings(settings, gen, inst)}
+    trace = _write_trace(_solve_each(cfgs, gen, inst)[settings.method],
+                         settings.trace_file, settings.zero_wall)
     if settings.summary_file is not None:
         wall = 0 if settings.zero_wall else trace.records[-1].wall_ns
         write_summary_csv([_summary_row(settings.method, trace, wall)],
@@ -176,11 +255,17 @@ def cmd_compare(args):
     gen, inst = load_problem(settings)
     os.makedirs(args.out_dir, exist_ok=True)
     geometry = step_geometry(settings, gen)
+    # every config is resolved before any solve, so a bad setting fails with
+    # no trace written; a suggested step factorizes the loss here, once, for
+    # the forked workers to inherit
+    cfgs = {m: solver_settings(settings, gen, inst, m, geometry) for m in METHODS}
+    outcomes = _solve_split(cfgs, gen, inst)
+    # written in METHODS order, whichever process solved them, so the first
+    # failure leaves the traces before it and its own partial trace
     traces = {}
     for algo in METHODS:
         path = os.path.join(args.out_dir, f"{algo}_trace.csv")
-        traces[algo] = _solve(algo, settings, gen, inst, path, zero_wall=True,
-                              geometry=geometry)
+        traces[algo] = _write_trace(outcomes[algo], path, zero_wall=True)
     write_summary_csv(
         [_summary_row(algo, trace, wall_ns=0) for algo, trace in traces.items()],
         os.path.join(args.out_dir, "summary.csv"),

@@ -301,8 +301,12 @@ def _draw_pairs(normal, uniform, dim, radius, count):
     """count candidate pairs from the stream, shape (count, 2, dim), and
     their distances.  The loop keeps only the draws and each point's radial
     scalar; normalizing and scaling (in one point's order of roundings) and
-    the distances run once over all points."""
-    pairs, scale = np.empty((count, 2, dim)), np.empty(2 * count)
+    the distances run once over all points.  A count beyond what numpy
+    allocates raises ValueError."""
+    try:
+        pairs, scale = np.empty((count, 2, dim)), np.empty(2 * count)
+    except MemoryError as exc:
+        raise ValueError(f"cannot draw {count} geometry pairs: {exc}") from None
     root, sqrt = 1.0 / dim, math.sqrt
     # stream order: z1 then z2 of pair 0, then of pair 1, ...
     for k, v in enumerate(pairs.reshape(-1, dim)):
@@ -325,11 +329,11 @@ def estimate_geometry(gen, n_pairs, seed):
     DEGENERATE_PAIR_TOL) are dropped and more are drawn until n_pairs
     remain; a ball too small to hold a non-degenerate pair, or one that
     yields too few of them in MAX_DRAWS_PER_PAIR * n_pairs draws, raises
-    ValueError.  The pairs are then evaluated in blocks of at most
-    _BLOCK_ELEMENTS / (2 output_dim) pairs (at least one): one batched
-    forward pass over a block's points, and one batched JVP on the z1 rows
-    of its tape for the linearizations DG(z1)(z2 - z1); no Jacobian is
-    formed.  Every pair's values are the same bits for every block size.
+    ValueError, as does an n_pairs too large to allocate.  The pairs are
+    then evaluated in blocks of at most _BLOCK_ELEMENTS / (2 output_dim)
+    pairs (at least one): one batched forward pass over a block's points,
+    and one batched JVP on the z1 rows of its tape for the linearizations
+    DG(z1)(z2 - z1); no Jacobian is formed.  Every pair's values are the same bits for every block size.
     """
     if n_pairs < 1:
         raise ValueError("n_pairs must be at least 1")

@@ -277,8 +277,31 @@ def test_compare_pins_a_small_compressive_sensing_run(tmp_path, capsys):
         )
 
 
+@pytest.fixture(params=["cores1", "cores2", "cores3", "nofork"])
+def process_count(request, monkeypatch):
+    """compare as it runs on 1, 2 or 3 usable cores, or where os.fork is
+    missing; afterwards no child process may be left."""
+    if request.param == "nofork":
+        monkeypatch.delattr(os, "fork", raising=False)
+    elif not hasattr(os, "fork"):
+        pytest.skip("os.fork is missing on this platform")
+    else:
+        cores = set(range(int(request.param[-1])))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores, raising=False)
+    yield request.param
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def fork_workers(monkeypatch):
+    """Give compare two usable cores, so admm runs in a forked worker."""
+    if not hasattr(os, "fork"):
+        pytest.skip("os.fork is missing on this platform")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
 def test_compare_numerical_error_keeps_finished_and_partial_traces(
-    tmp_path, capsys
+    tmp_path, capsys, process_count
 ):
     write_generator(tmp_path)
     text = COMPARE.replace("rho = 0.5", "rho = 0.5\nalpha = 1e12")
@@ -296,6 +319,69 @@ def test_compare_numerical_error_keeps_finished_and_partial_traces(
     assert partial.column("t") == list(range(1, iteration))
     assert all(r.wall_ns == 0 for r in partial)
     assert sorted(p.name for p in out.iterdir()) == ["admm_trace.csv", "gd_trace.csv"]
+
+
+@pytest.mark.parametrize("failure", ["exit", "raise"])
+def test_compare_worker_that_fails_gives_one_error_line(
+    tmp_path, capsys, monkeypatch, failure
+):
+    fork_workers(monkeypatch)
+    parent, solve = os.getpid(), priorsolve.cli._solve
+
+    def solve_or_fail(*args):
+        if os.getpid() != parent:  # the worker, which solves admm
+            if failure == "exit":
+                os._exit(3)
+            raise ValueError("no admm today")
+        return solve(*args)
+
+    monkeypatch.setattr(priorsolve.cli, "_solve", solve_or_fail)
+    write_generator(tmp_path)
+    cfg, out = write_config(tmp_path, COMPARE), tmp_path / "o"
+    assert main(["compare", str(cfg), "--out-dir", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    detail = ("ended with exit code 3" if failure == "exit"
+              else "failed: ValueError: no admm today")
+    assert captured.err.splitlines() == [
+        f"error: config: the worker solving admm {detail}"]
+    assert list(out.iterdir()) == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_compare_interrupted_in_the_parent_leaves_no_worker(
+    tmp_path, monkeypatch
+):
+    fork_workers(monkeypatch)
+    parent, solve = os.getpid(), priorsolve.cli._solve
+
+    def interrupt_gd(method, *args):
+        if os.getpid() == parent and method == "gd":
+            raise KeyboardInterrupt
+        return solve(method, *args)
+
+    monkeypatch.setattr(priorsolve.cli, "_solve", interrupt_gd)
+    write_generator(tmp_path)
+    cfg, out = write_config(tmp_path, COMPARE), tmp_path / "o"
+    with pytest.raises(KeyboardInterrupt):
+        main(["compare", str(cfg), "--out-dir", str(out)])
+    assert list(out.iterdir()) == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_compare_resolves_every_config_before_any_solve(tmp_path, capsys):
+    # beta = 1/(rho kappa_hat^2) underflows for admm and eadmm; gd, whose
+    # step the config gives, must not run first and leave its trace behind
+    text = reference_config([("rho = 0.1", "rho = 1e308")])
+    cfg, out = write_config(tmp_path, text), tmp_path / "o"
+    assert main(["compare", str(cfg), "--out-dir", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: config: rho too large: beta = 1/(rho kappa_hat^2) underflows"]
+    assert list(out.iterdir()) == []
 
 
 def test_compare_and_eadmm_run_on_denoise_linf_are_pinned(tmp_path, capsys):
@@ -385,6 +471,15 @@ def test_reference_compare_artifacts_are_pinned(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["compare", str(CONFIGS / "reference.ini"), "--out-dir", str(out)]) == 0
     assert {p.name: sha256(p) for p in out.iterdir()} == REFERENCE_COMPARE_SHA256
+
+
+def test_reference_compare_bytes_do_not_depend_on_the_process_count(
+    tmp_path, capsys, process_count
+):
+    out = tmp_path / "out"
+    assert main(["compare", str(CONFIGS / "reference.ini"), "--out-dir", str(out)]) == 0
+    assert {p.name: sha256(p) for p in out.iterdir()} == REFERENCE_COMPARE_SHA256
+    assert capsys.readouterr().out.splitlines() == REFERENCE_COMPARE_STDOUT
 
 
 def test_reference_plateau_sweep_artifact_is_pinned(tmp_path, capsys):
@@ -577,6 +672,13 @@ KAPPA_NAN = one_layer(
         (["estimate-geometry"], [(("layers",), [{"activation": "identity", "bias": False,
                                                 "weights": [[1, 0], [0, 1], [1, 1]]}])],
          "cannot load generator: unknown key(s) ['bias'] in layer 0"),
+        # a 32 PiB geometry sample: numpy refuses it before allocating anything
+        (["estimate-geometry", "--pairs", str(2**50)], [],
+         f"cannot draw {2**50} geometry pairs: Unable to allocate 32.0 PiB for "
+         f"an array with shape ({2**50}, 2, 2) and data type float64"),
+        (["run"], [("rho = 0.1", f"rho = 0.1\ngeometry_pairs = {2**50}")],
+         f"cannot draw {2**50} geometry pairs: Unable to allocate 32.0 PiB for "
+         f"an array with shape ({2**50}, 2, 2) and data type float64"),
     ],
 )
 def test_input_check_fails_with_one_line(tmp_path, capsys, argv, edits, message):
