@@ -14,7 +14,8 @@ Subcommands:
     result line per solver, ending in stop= as run's does.  The three solves
     run in up to one process per core this process may use (one where
     os.fork is missing); the files, the output and the exit code do not
-    depend on that count.
+    depend on that count: each process formats the traces it solved, and this
+    one writes every file.
 ``estimate-geometry --generator FILE``
     Print the sampled geometry constants and the step sizes they suggest as
     key=value lines.
@@ -32,8 +33,9 @@ numerically still writes the rows it completed to its trace file.  A
 ``compare`` that does keeps the traces of the solvers before the failing one,
 in gd, admm, eadmm order, writes the rows the failing one completed, and
 writes no summary.  A ``compare`` worker process that raises or ends
-without sending its results fails with exit code 1.  The trace module writes
-every CSV artifact and formats every float printed; this module opens no file.
+without sending its reports (trace texts, summary rows and stop reasons, never
+the traces) fails with exit code 1.  The trace module builds and writes every
+CSV artifact and formats every float printed; this module opens no file.
 
 The console script and ``python -m priorsolve`` run :func:`main` through
 ``priorsolve.__main__.entry``, which freezes the heap after it returns;
@@ -63,7 +65,8 @@ from .gd import run_gd, tune_gd_step
 from .generator import estimate_geometry
 from .harness import DegenerateTrace, best_lagrangian, build_instance, fit_rate
 from .harness import plateau_vs_rho
-from .trace import _format, write_summary_csv, write_trace_csv
+from .trace import _format, _trace_lines, _write_text, write_summary_csv
+from .trace import write_trace_csv
 
 __all__ = ["main"]
 
@@ -166,15 +169,29 @@ def _solve_each(cfgs, gen, inst):
     return outcomes
 
 
+def _report(outcomes):
+    """compare's report of each of _solve_each's outcomes, built in the
+    process that solved it: (the trace's CSV text with wall clocks zeroed,
+    its summary row or None for a failed solve, its stop reason, the
+    failure)."""
+    return {
+        method: ("".join(_trace_lines(trace, zero_wall=True)),
+                 None if failure else _summary_row(method, trace, wall_ns=0),
+                 trace.stop_reason, failure)
+        for method, (trace, failure) in outcomes.items()
+    }
+
+
 def _solve_split(cfgs, gen, inst):
-    """_solve_each's outcomes of every method in cfgs, each process stopping
-    at its own first numerical failure.  n processes share the methods, one
-    per core this process may run on and at most one per method (one without
-    os.fork); process i solves every n-th method from the i-th.  Process 0
-    is this one and the others are forked workers that pickle their outcomes
-    through a pipe.  Every worker is reaped on every path, and killed first
-    unless all went well.  A worker that raises or ends without its outcomes
-    raises ChildProcessError."""
+    """The _report of _solve_each's outcomes of every method in cfgs, each
+    process stopping at its own first numerical failure.  n processes share
+    the methods, one per core this process may run on and at most one per
+    method (one without os.fork); process i solves every n-th method from
+    the i-th and reports on them.  Process 0 is this one and the others are
+    forked workers that pickle their reports, never a trace, through a pipe.
+    Every worker is reaped on every path, and killed first unless all went
+    well.  A worker that raises or ends without its reports raises
+    ChildProcessError."""
     methods = list(cfgs)
     if hasattr(os, "sched_getaffinity"):
         cores = len(os.sched_getaffinity(0))
@@ -192,7 +209,7 @@ def _solve_split(cfgs, gen, inst):
                 try:
                     os.close(read)
                     try:
-                        payload = _solve_each(share, gen, inst)
+                        payload = _report(_solve_each(share, gen, inst))
                     except Exception as exc:  # the parent reports it in one line
                         payload = f"{type(exc).__name__}: {exc}"
                     with open(write, "wb") as pipe:
@@ -203,7 +220,7 @@ def _solve_split(cfgs, gen, inst):
             unreaped.add(pid)
             os.close(write)
             workers.append((pid, open(read, "rb"), ", ".join(share)))
-        outcomes = _solve_each({m: cfgs[m] for m in methods[::n]}, gen, inst)
+        reports = _report(_solve_each({m: cfgs[m] for m in methods[::n]}, gen, inst))
         for pid, pipe, names in workers:
             data = pipe.read()
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
@@ -214,34 +231,25 @@ def _solve_split(cfgs, gen, inst):
             payload = pickle.loads(data)
             if isinstance(payload, str):
                 raise ChildProcessError(f"the worker solving {names} failed: {payload}")
-            outcomes.update(payload)
+            reports.update(payload)
     finally:
         for pid, pipe, _ in workers:
             pipe.close()
         for pid in unreaped:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    return outcomes
-
-
-def _write_trace(outcome, path, zero_wall):
-    """Write an outcome's trace to path (None writes nothing) and return it;
-    for a failed solve, raise its NonFiniteError once the rows it completed
-    are written."""
-    trace, failure = outcome
-    if path is not None:
-        write_trace_csv(trace, path, zero_wall=zero_wall)
-    if failure is not None:
-        raise NonFiniteError(*failure)
-    return trace
+    return reports
 
 
 def cmd_run(args):
     settings = parse_config(args.config, command="run")
     gen, inst = load_problem(settings)
     cfgs = {settings.method: solver_settings(settings, gen, inst)}
-    trace = _write_trace(_solve_each(cfgs, gen, inst)[settings.method],
-                         settings.trace_file, settings.zero_wall)
+    trace, failure = _solve_each(cfgs, gen, inst)[settings.method]
+    if settings.trace_file is not None:
+        write_trace_csv(trace, settings.trace_file, zero_wall=settings.zero_wall)
+    if failure is not None:  # raised once the rows it completed are written
+        raise NonFiniteError(*failure)
     if settings.summary_file is not None:
         wall = 0 if settings.zero_wall else trace.records[-1].wall_ns
         write_summary_csv([_summary_row(settings.method, trace, wall)],
@@ -259,24 +267,22 @@ def cmd_compare(args):
     # no trace written; a suggested step factorizes the loss here, once, for
     # the forked workers to inherit
     cfgs = {m: solver_settings(settings, gen, inst, m, geometry) for m in METHODS}
-    outcomes = _solve_split(cfgs, gen, inst)
+    reports = _solve_split(cfgs, gen, inst)
     # written in METHODS order, whichever process solved them, so the first
     # failure leaves the traces before it and its own partial trace
-    traces = {}
+    rows, lines = [], []
     for algo in METHODS:
-        path = os.path.join(args.out_dir, f"{algo}_trace.csv")
-        traces[algo] = _write_trace(outcomes[algo], path, zero_wall=True)
-    write_summary_csv(
-        [_summary_row(algo, trace, wall_ns=0) for algo, trace in traces.items()],
-        os.path.join(args.out_dir, "summary.csv"),
-    )
-    for algo, trace in traces.items():
-        last = trace.records[-1]
-        print(
-            f"algo={algo} iters={len(trace)} "
-            f"final_obj={_format(last.objective)} final_gap={_format(last.feas_gap)} "
-            f"stop={trace.stop_reason}"
+        text, row, stop, failure = reports[algo]
+        _write_text(text, os.path.join(args.out_dir, f"{algo}_trace.csv"))
+        if failure is not None:
+            raise NonFiniteError(*failure)
+        rows.append(row)
+        lines.append(
+            f"algo={algo} iters={row['iters']} final_obj={_format(row['final_obj'])} "
+            f"final_gap={_format(row['final_gap'])} stop={stop}"
         )
+    write_summary_csv(rows, os.path.join(args.out_dir, "summary.csv"))
+    print("\n".join(lines))
     return 0
 
 

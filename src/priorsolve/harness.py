@@ -263,7 +263,8 @@ def plateau_vs_rho(
     those of admm.run on that instance up to the rounding of batched matrix
     products, and every iteration checks the whole batch in admm_step's
     order, raising NonFiniteError(quantity, t) at the first failure.  Of
-    the feas_gap and dist_w columns only the tail window is kept.
+    the feas_gap and dist_w columns only the tail window is kept, and a
+    window numpy cannot allocate raises ValueError before any solve.
     """
     rho_values = sorted(float(r) for r in rho_values)
     seeds = [int(s) for s in seeds]
@@ -280,12 +281,19 @@ def plateau_vs_rho(
     if not sigma0 > 0.0:
         raise ValueError("sigma0 must be strictly positive")
 
+    # row i * len(seeds) + j solves (rho_values[i], seeds[j]); the tail
+    # arrays come first, so a count numpy cannot allocate fails at once
+    tail = _tail_length(iters)
+    try:
+        gaps = np.empty((tail, len(rho_values) * len(seeds)))
+        errs = np.empty_like(gaps)
+    except MemoryError as exc:
+        raise ValueError(f"cannot keep {tail} tail rows: {exc}") from None
     insts = [
         build_instance(gen, "denoise_l2", noise_level=noise_level, seed=seed)
         for seed in seeds
     ]
     est = estimate_geometry(gen, geometry_pairs, seed=0)
-    # row i * len(seeds) + j solves (rho_values[i], seeds[j])
     tiles = (len(rho_values), 1)
     targets = [inst.problem.loss.target for inst in insts]
     loss = QuadraticDenoise(np.tile(targets, tiles))
@@ -301,9 +309,6 @@ def plateau_vs_rho(
     tape = gen.forward(z, return_tape=True)
     w = tape.output
     lam = np.zeros_like(w)
-    tail = _tail_length(iters)
-    gaps = np.empty((tail, rho.size))
-    errs = np.empty_like(gaps)
     for t in range(1, iters + 1):
         # the instances have H = 0, whose prox is the identity
         z = z - beta_col * grad_z_lagrangian(gen, tape, lam, w - tape.output, rho_col)

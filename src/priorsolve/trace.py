@@ -98,8 +98,8 @@ def _format(value):
     return repr(float(value))
 
 
-def write_trace_csv(trace, path, zero_wall=False):
-    """Write the trace, streaming one line per record (csv.writer's bytes: no
+def _trace_lines(trace, zero_wall=False):
+    """The trace file's lines, header first (csv.writer's bytes: no
     _format-ed cell needs quoting); zero_wall=True writes 0 in the timing
     column so that repeated runs produce byte-identical files.  A row of
     only float and int cells is formatted by one C-level % operation; any
@@ -109,13 +109,24 @@ def write_trace_csv(trace, path, zero_wall=False):
     end = ",0\r\n" if zero_wall else "\r\n"
     template = ",".join(["%r"] * len(columns)) + end
     plain = frozenset((float, int))  # the cell types whose repr is their _format
+    yield ",".join(TRACE_COLUMNS) + "\r\n"
+    for cells in map(values, trace):
+        if plain.issuperset(map(type, cells)):
+            yield template % cells
+        else:
+            yield ",".join(map(_format, cells)) + end
+
+
+def write_trace_csv(trace, path, zero_wall=False):
+    """Write the trace's lines (_trace_lines), streaming one per record."""
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(TRACE_COLUMNS) + "\r\n")
-        for cells in map(values, trace):
-            if plain.issuperset(map(type, cells)):
-                fh.write(template % cells)
-            else:
-                fh.write(",".join(map(_format, cells)) + end)
+        fh.writelines(_trace_lines(trace, zero_wall))
+
+
+def _write_text(text, path):
+    """Write text that _trace_lines built to path, as it is."""
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
 
 
 def read_trace_csv(path):

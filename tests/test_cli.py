@@ -440,6 +440,24 @@ def test_compare_that_cannot_write_its_summary_prints_nothing(tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: config:")
 
 
+def test_compare_that_cannot_write_a_trace_keeps_the_traces_before_it(
+    tmp_path, capsys, process_count
+):
+    write_generator(tmp_path)
+    cfg, out, whole = write_config(tmp_path, COMPARE), tmp_path / "o", tmp_path / "w"
+    assert main(["compare", str(cfg), "--out-dir", str(whole)]) == 0
+    capsys.readouterr()
+    (out / "admm_trace.csv").mkdir(parents=True)
+    assert main(["compare", str(cfg), "--out-dir", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: config:")
+    assert sorted(p.name for p in out.iterdir()) == ["admm_trace.csv", "gd_trace.csv"]
+    assert (out / "admm_trace.csv").is_dir()
+    assert (out / "gd_trace.csv").read_bytes() == (whole / "gd_trace.csv").read_bytes()
+
+
 # sha256 of the shipped reference runs; solver or writer changes that move a
 # bit of these artifacts must say so and re-pin them
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -480,6 +498,35 @@ def test_reference_compare_bytes_do_not_depend_on_the_process_count(
     assert main(["compare", str(CONFIGS / "reference.ini"), "--out-dir", str(out)]) == 0
     assert {p.name: sha256(p) for p in out.iterdir()} == REFERENCE_COMPARE_SHA256
     assert capsys.readouterr().out.splitlines() == REFERENCE_COMPARE_STDOUT
+
+
+def objects_in(value):
+    """value and everything inside its dicts, lists and tuples."""
+    yield value
+    if isinstance(value, dict):
+        value = [*value.keys(), *value.values()]
+    if isinstance(value, (list, tuple)):
+        for item in value:
+            yield from objects_in(item)
+
+
+def test_compare_worker_sends_no_trace(tmp_path, capsys, monkeypatch):
+    fork_workers(monkeypatch)
+    loads, payloads = priorsolve.cli.pickle.loads, []
+
+    def keep(data):
+        payloads.append(loads(data))
+        return payloads[-1]
+
+    monkeypatch.setattr(priorsolve.cli.pickle, "loads", keep)
+    out = tmp_path / "out"
+    assert main(["compare", str(CONFIGS / "reference.ini"), "--out-dir", str(out)]) == 0
+    assert {p.name: sha256(p) for p in out.iterdir()} == REFERENCE_COMPARE_SHA256
+    assert capsys.readouterr().out.splitlines() == REFERENCE_COMPARE_STDOUT
+    [payload] = payloads  # the one worker's, which solved admm
+    assert list(payload) == ["admm"]
+    types = {type(value) for value in objects_in(payload)}
+    assert not types & {priorsolve.RunTrace, priorsolve.TraceRecord}
 
 
 def test_reference_plateau_sweep_artifact_is_pinned(tmp_path, capsys):
@@ -679,6 +726,10 @@ KAPPA_NAN = one_layer(
         (["run"], [("rho = 0.1", f"rho = 0.1\ngeometry_pairs = {2**50}")],
          f"cannot draw {2**50} geometry pairs: Unable to allocate 32.0 PiB for "
          f"an array with shape ({2**50}, 2, 2) and data type float64"),
+        # 2.84 PiB of plateau tail rows: numpy refuses them before allocating
+        (["plateau-sweep", "--rho-values", "1,2", "--iters", str(10**15)], [],
+         f"cannot keep {2 * 10**14} tail rows: Unable to allocate 2.84 PiB for "
+         f"an array with shape ({2 * 10**14}, 2) and data type float64"),
     ],
 )
 def test_input_check_fails_with_one_line(tmp_path, capsys, argv, edits, message):
