@@ -18,10 +18,10 @@ block already sees z_{t+1}.  The diminishing dual schedule keeps every
 dual increment below sigma0 / (t ln^2(t+1)), a summable series, so the
 dual iterates stay bounded no matter how the primal residuals behave.
 
-Each iteration evaluates G once, at z_{t+1}, and runs one VJP of G: the
-state carries the generator tape of z_t (and, with the linearized w-step,
-grad L(w_t)) from the step that produced it, so z_t is never re-traced.
-A state built by hand has no tape yet, and its first step computes one.
+Each iteration evaluates G once, at z_{t+1}, and runs one VJP of G: a
+state holds z_t as its generator tape (and, with the linearized w-step,
+carries grad L(w_t) from the step that produced it), so z_t is never
+re-traced.
 
 The iteration stops once
 
@@ -141,35 +141,36 @@ class AdmmConfig:
 class AdmmState:
     """Iterates after t - 1 completed iterations (t starts at 1).
 
-    tape (the generator Tape at z) and w_grad (the pair (w, grad L(w))) are
-    caches that initial_state and admm_step fill so the next step need not
-    recompute them.  Each is tied to the very array it was computed from and
-    is dropped when that array is not this state's z or w, so a state built
-    by hand or through dataclasses.replace(state, z=...) recomputes rather
-    than reads stale values.  The iterate arrays are treated as immutable,
-    and a state's caches belong to the problem whose steps produced it.
+    The latent iterate z is read off tape, the generator Tape of z, so a
+    state at another latent is dataclasses.replace(state, tape=gen.forward(z,
+    return_tape=True)).  w_grad, the pair (w, grad L(w)), is a cache that
+    admm_step fills for the next linearized w-step.  It is dropped when its
+    w is not this state's w, so a state built by hand or through
+    dataclasses.replace(state, w=...) recomputes rather than reads a stale
+    gradient.  The iterate arrays are treated as immutable, and a state's
+    tape and cache belong to the problem whose steps produced them.
     """
 
     w: np.ndarray
-    z: np.ndarray
     lam: np.ndarray
     sigma: float
     t: int
-    tape: object = field(default=None, repr=False, compare=False)
+    tape: object = field(repr=False, compare=False)
     w_grad: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "w", np.asarray(self.w, dtype=float))
-        object.__setattr__(self, "z", np.asarray(self.z, dtype=float))
         object.__setattr__(self, "lam", np.asarray(self.lam, dtype=float))
         if not self.sigma > 0.0:
             raise ValueError("sigma must be strictly positive")
         if self.t < 1:
             raise ValueError("iteration counter t is 1-based")
-        if self.tape is not None and self.tape.z is not self.z:
-            object.__setattr__(self, "tape", None)
         if self.w_grad is not None and self.w_grad[0] is not self.w:
             object.__setattr__(self, "w_grad", None)
+
+    @property
+    def z(self):
+        return self.tape.z
 
 
 @dataclass(frozen=True)
@@ -184,13 +185,12 @@ class SplitProblem:
 
 
 def initial_state(problem, cfg, z0):
-    """Fresh state at t = 1 carrying the tape of z0, with w = G(z0) and a
-    zero dual.  dataclasses.replace(state, w=..., lam=...) starts elsewhere
-    and keeps the tape, since z does not change."""
-    z0 = np.asarray(z0, dtype=float)
+    """Fresh state at t = 1 on the tape of z0, with w = G(z0) and a zero
+    dual.  dataclasses.replace(state, w=..., lam=...) starts elsewhere in w
+    and the dual, and keeps the tape."""
     tape = problem.gen.forward(z0, return_tape=True)
     w0, lam0 = tape.output, np.zeros(tape.output.size)
-    return AdmmState(w=w0, z=z0, lam=lam0, sigma=cfg.sigma0, t=1, tape=tape)
+    return AdmmState(w=w0, lam=lam0, sigma=cfg.sigma0, t=1, tape=tape)
 
 
 def aug_lagrangian(loss_value, lam, resid, gap, rho):
@@ -208,7 +208,7 @@ def grad_w_lagrangian(loss_grad, lam, resid, rho):
 def grad_z_lagrangian(gen, tape, lam, resid, rho):
     """grad_z AL = -DG(z)^T (lam + rho r), one VJP on the tape of z; the
     loss plays no role."""
-    return -gen.vjp(tape.z, lam + rho * resid, tape=tape)
+    return -gen.vjp(tape, lam + rho * resid)
 
 
 def dual_step_size(sigma0, feas_gap, t):
@@ -272,8 +272,8 @@ def admm_step(problem, cfg, state, planted=None):
 
     Runs one generator forward pass (at z_{t+1}) and one VJP (at z_t, from
     the state's tape), plus one loss evaluation at w_{t+1} that also yields
-    grad L(w_{t+1}) for the next linearized w-step.  A state without a tape
-    or gradient cache first computes what it lacks.
+    grad L(w_{t+1}) for the next linearized w-step.  A state without a
+    gradient cache first computes grad L(w_t).
 
     The record is evaluated at the new iterate (its Lagrangian uses the new
     dual) except for the stopping metric, which by construction mixes the
@@ -282,10 +282,10 @@ def admm_step(problem, cfg, state, planted=None):
     """
     loss, gen = problem.loss, problem.gen
     rho = cfg.rho
-    w, z, lam = state.w, state.z, state.lam
+    tape = state.tape
+    w, z, lam = state.w, tape.z, state.lam
     exact = cfg.w_step == "exact"
 
-    tape = state.tape if state.tape is not None else gen.forward(z, return_tape=True)
     resid = w - tape.output
     gap = _norm(resid)
 
@@ -344,7 +344,7 @@ def admm_step(problem, cfg, state, planted=None):
         dist_z=dist_z,
     )
     new_state = AdmmState(
-        w=w_new, z=z_new, lam=lam_new, sigma=sigma_new, t=state.t + 1,
+        w=w_new, lam=lam_new, sigma=sigma_new, t=state.t + 1,
         tape=tape_new, w_grad=w_grad_new,
     )
     return new_state, record
@@ -411,26 +411,31 @@ def run_multiscale(problem, cfg, state, planted=None, observer=None):
     return run(problem, cfg, state, planted, observer)
 
 
+def _reciprocal(den, step, cause):
+    """1/den for the named step, raising ValueError that names the cause
+    when it overflows (den may have underflowed to 0.0) or underflows."""
+    value = 1.0 / den if den else math.inf
+    if value == math.inf:
+        raise ValueError(f"{cause} too small: {step} overflows")
+    if value == 0.0:
+        raise ValueError(f"{cause} too large: {step} underflows")
+    return value
+
+
 def suggest_step_sizes(nu, kappa_hat, rho):
     """(alpha, beta, gd_step) for a loss of smoothness nu: alpha = 1/nu while
     rho < nu, else 1/(nu + rho), so alpha (nu + rho) < 2 keeps the linearized
     w step stable; beta = 1/(rho kappa_hat^2); gd_step = 1/(nu kappa_hat^2).
     Raises ValueError when kappa_hat is not positive and finite (a sampled
-    estimate of an overflowing generator is inf or nan) or a step underflows
-    to 0.0."""
+    estimate of an overflowing generator is inf or nan) or a step overflows
+    to inf or underflows to 0.0."""
     if not 0.0 < kappa_hat < math.inf:  # also false for nan
         raise ValueError(f"kappa_hat must be positive and finite, got {kappa_hat}")
     if not rho > 0.0:
         raise ValueError("rho must be strictly positive")
     if not nu > 0.0:
         raise ValueError("loss smoothness constant must be strictly positive")
-    alpha = 1.0 / (nu if rho < nu else nu + rho)
-    beta = 1.0 / (rho * kappa_hat**2)
-    gd_step = 1.0 / (nu * kappa_hat**2)
-    if beta == 0.0:
-        raise ValueError("rho too large: beta = 1/(rho kappa_hat^2) underflows")
-    if alpha == 0.0:
-        raise ValueError("nu + rho too large: alpha underflows")
-    if gd_step == 0.0:
-        raise ValueError("nu too large: gd_step = 1/(nu kappa_hat^2) underflows")
+    beta = _reciprocal(rho * kappa_hat**2, "beta = 1/(rho kappa_hat^2)", "rho")
+    alpha = _reciprocal(nu if rho < nu else nu + rho, "alpha", "nu + rho")
+    gd_step = _reciprocal(nu * kappa_hat**2, "gd_step = 1/(nu kappa_hat^2)", "nu")
     return alpha, beta, gd_step

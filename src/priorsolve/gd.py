@@ -49,12 +49,10 @@ class GdConfig:
             raise ValueError("grad_tol must be strictly positive")
 
 
-def grad_h(loss, gen, z, tape=None):
-    """grad h(z) = DG(z)^T grad L(G(z)); tape, the generator tape of z,
-    spares the forward pass."""
-    if tape is None:
-        tape = gen.forward(z, return_tape=True)
-    return gen.vjp(z, loss.grad(tape.output), tape=tape)
+def grad_h(loss, gen, tape):
+    """grad h(z) = DG(z)^T grad L(G(z)) at the point z whose generator tape
+    is given: one loss gradient and one VJP."""
+    return gen.vjp(tape, loss.grad(tape.output))
 
 
 def run_gd(loss, gen, cfg, z0, planted=None):
@@ -76,7 +74,7 @@ def run_gd(loss, gen, cfg, z0, planted=None):
         tape = gen.forward(z_new, return_tape=True)
         gz_new = tape.output
         objective, loss_grad = loss.value_and_grad(gz_new)
-        g_new = gen.vjp(z_new, loss_grad, tape=tape)
+        g_new = gen.vjp(tape, loss_grad)
         g_norm = _norm(g_new)
         _ensure_finite(g_norm, g_new, "gradient", t)
         _ensure_finite(objective, objective, "objective", t)
@@ -100,7 +98,7 @@ def run_gd(loss, gen, cfg, z0, planted=None):
         return (t + 1, z_new, g_new, gz_new), record
 
     trace = RunTrace()
-    point = (1, z0, grad_h(loss, gen, z0, tape0), tape0.output)
+    point = (1, z0, grad_h(loss, gen, tape0), tape0.output)
     point = _drive(step, point, cfg.max_iters, cfg.grad_tol, trace, t0)
     return point[1], trace
 

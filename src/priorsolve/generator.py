@@ -131,8 +131,8 @@ class Tape(NamedTuple):
     """Record of one forward pass: the latent input z, the output G(z) and
     the pre-activation of every layer, for the generator whose layers these
     are.  For a batch z of shape (B, input_dim) every array carries the same
-    leading batch axis.  vjp and jacobian read it instead of repeating the
-    pass."""
+    leading batch axis.  vjp, jvp and jacobian take it as the point they
+    differentiate at."""
 
     z: np.ndarray
     output: np.ndarray
@@ -144,15 +144,15 @@ class FeedforwardGenerator:
     """Stack of affine-plus-activation layers with non-decreasing widths.
 
     One forward pass costs one matvec per layer.  forward(z, return_tape=True)
-    returns the pass as a Tape; handing that tape to vjp, jvp or jacobian at
-    the same z skips their own forward pass, so a solver that keeps the tape
-    of its current point pays one forward and one backward pass per gradient.
+    returns the pass as a Tape, and vjp, jvp and jacobian take that tape as
+    the point z they differentiate at, so a solver that keeps the tape of
+    its current point pays one forward and one backward pass per gradient.
 
-    forward, vjp and jvp also take a batch: z of shape (B, input_dim) with a
-    cotangent of shape (B, output_dim) or a tangent of shape (B, input_dim)
-    gives one row per latent, through the same code (every layer acts on the
-    last axis, so a batch pass costs one matrix product per layer).
-    jacobian takes a single latent only.
+    forward, vjp and jvp also take a batch: z of shape (B, input_dim), or
+    its tape with a cotangent of shape (B, output_dim) or a tangent of shape
+    (B, input_dim), gives one row per latent, through the same code (every
+    layer acts on the last axis, so a batch pass costs one matrix product
+    per layer).  jacobian takes the tape of a single latent only.
 
     Parameters
     ----------
@@ -215,15 +215,9 @@ class FeedforwardGenerator:
             x = layer.activation.value(a)
         return Tape(z, x, tuple(preacts), self.layers)
 
-    def _tape_at(self, z, tape):
-        """tape when it was recorded by this generator at z, else a new pass."""
-        if tape is None:
-            return self._forward_trace(z)
+    def _check_tape(self, tape):
         if tape.layers is not self.layers:
             raise ValueError("tape was recorded by a different generator")
-        if tape.z is not z and not np.array_equal(tape.z, z):
-            raise ValueError("tape was recorded at a different latent point")
-        return tape
 
     def forward(self, z, return_tape=False):
         """Evaluate G(z), row by row for a batch of latents; with
@@ -231,11 +225,10 @@ class FeedforwardGenerator:
         tape = self._forward_trace(z)
         return tape if return_tape else tape.output
 
-    def jacobian(self, z, tape=None):
-        """Dense Jacobian DG(z), shape (output_dim, input_dim), at a single
-        latent.  A tape from forward(z, return_tape=True) replaces the
-        internal forward pass."""
-        tape = self._tape_at(z, tape)
+    def jacobian(self, tape):
+        """Dense Jacobian DG(z), shape (output_dim, input_dim), at the single
+        latent z whose tape forward(z, return_tape=True) recorded."""
+        self._check_tape(tape)
         if tape.z.ndim != 1:
             raise ValueError("jacobian takes a single latent, not a batch")
         jac = None
@@ -244,11 +237,10 @@ class FeedforwardGenerator:
             jac = step if jac is None else step @ jac
         return jac
 
-    def vjp(self, z, u, tape=None):
-        """Vector-Jacobian product DG(z)^T u in one backward pass, preceded by
-        a forward pass unless the tape of z is given.  For a batch of
-        latents, u holds one cotangent per row."""
-        tape = self._tape_at(z, tape)
+    def vjp(self, tape, u):
+        """Vector-Jacobian product DG(z)^T u in one backward pass over the
+        tape of z.  For a batch of latents, u holds one cotangent per row."""
+        self._check_tape(tape)
         u = np.asarray(u, dtype=float)
         expected = tape.z.shape[:-1] + (self.output_dim,)
         if u.shape != expected:
@@ -258,12 +250,11 @@ class FeedforwardGenerator:
             v = (layer.activation.derivative(a) * v) @ layer.weight
         return v
 
-    def jvp(self, z, v, tape=None):
+    def jvp(self, tape, v):
         """Jacobian-vector product DG(z) v in one forward-mode pass over the
-        recorded pre-activations, preceded by a forward pass unless the tape
-        of z is given.  For a batch of latents, v holds one tangent per
-        row."""
-        tape = self._tape_at(z, tape)
+        pre-activations on the tape of z.  For a batch of latents, v holds
+        one tangent per row."""
+        self._check_tape(tape)
         v = np.asarray(v, dtype=float)
         if v.shape != tape.z.shape:
             raise ValueError(f"expected tangent of shape {tape.z.shape}")
@@ -380,7 +371,7 @@ def estimate_geometry(gen, n_pairs, seed):
         )
         steps = np.zeros((rows, dim))
         steps[:b] = points[b:] - points[:b]
-        rem = dg - gen.jvp(head.z, steps, tape=head)[:b]
+        rem = dg - gen.jvp(head, steps)[:b]
         curvatures[lo:lo + b] = 2.0 * np.sqrt(np.vecdot(rem, rem)) / d**2
     return GeometryEstimate(
         iota_hat=float(ratios.min()),

@@ -248,14 +248,13 @@ def plateau_vs_rho(
     noise_level=0.1,
     iters=2000,
     sigma0=0.2,
-    geometry_pairs=2000,
 ):
     """Sweep the penalty weight on noisy denoising instances.
 
     For each rho, the exact-minimization solver runs iters iterations (no
     early stop) from z = 0 on the denoise_l2 instance of every seed, with
-    beta = 1/(rho kappa_hat^2) from one geometry estimate; the tail means of
-    the feasibility gap and the recovery error are averaged over seeds.
+    beta = 1/(rho kappa_hat^2) from one 2000-pair geometry estimate; the tail
+    means of the feasibility gap and the recovery error are averaged over seeds.
     Returns one dict per rho, sorted ascending, with keys rho / gap_plateau /
     err_plateau.
 
@@ -293,7 +292,7 @@ def plateau_vs_rho(
         build_instance(gen, "denoise_l2", noise_level=noise_level, seed=seed)
         for seed in seeds
     ]
-    est = estimate_geometry(gen, geometry_pairs, seed=0)
+    est = estimate_geometry(gen, 2000, seed=0)
     tiles = (len(rho_values), 1)
     targets = [inst.problem.loss.target for inst in insts]
     loss = QuadraticDenoise(np.tile(targets, tiles))

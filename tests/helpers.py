@@ -111,5 +111,5 @@ def gd_admm_step_gap(loss, gen, beta, rho, state):
     tape = gen.forward(state.z, return_tape=True)
     resid = state.w - tape.output
     z_admm = state.z - beta * grad_z_lagrangian(gen, tape, state.lam, resid, rho)
-    z_gd = state.z - beta * grad_h(loss, gen, state.z, tape)
+    z_gd = state.z - beta * grad_h(loss, gen, tape)
     return _norm(z_admm - z_gd)

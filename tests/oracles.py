@@ -181,7 +181,7 @@ def sequential_geometry(gen, n_pairs, seed):
     )
     steps = np.zeros((rows, gen.input_dim))
     steps[:n_pairs] = z2 - z1
-    rem = dg - gen.jvp(head.z, steps, tape=head)[:n_pairs]
+    rem = dg - gen.jvp(head, steps)[:n_pairs]
     return GeometryEstimate(
         iota_hat=float(ratios.min()),
         kappa_hat=float(ratios.max()),
@@ -208,7 +208,7 @@ def serial_geometry(gen, n_pairs, seed):
         ratio = float(np.linalg.norm(g2 - g1)) / dist
         iota = min(iota, ratio)
         kappa = max(kappa, ratio)
-        rem = g2 - g1 - gen.jacobian(z1, tape=tape1) @ (z2 - z1)
+        rem = g2 - g1 - gen.jacobian(tape1) @ (z2 - z1)
         nu = max(nu, 2.0 * float(np.linalg.norm(rem)) / dist**2)
     return GeometryEstimate(
         iota_hat=iota,

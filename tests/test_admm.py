@@ -79,10 +79,10 @@ class RecordingGenerator:
         self.forward_tapes.append(out if return_tape else None)
         return out
 
-    def vjp(self, z, u, tape=None):
-        self.vjp_args.append((np.array(z), np.array(u)))
+    def vjp(self, tape, u):
+        self.vjp_args.append((np.array(tape.z), np.array(u)))
         self.vjp_tapes.append(tape)
-        return self.inner.vjp(z, u, tape=tape)
+        return self.inner.vjp(tape, u)
 
 
 class RecordingLoss(QuadraticDenoise):
@@ -229,7 +229,8 @@ def test_admm_step_update_order_and_hand_recomputation():
     w0 = rng.standard_normal(8)
     z0 = rng.standard_normal(2) * 0.5
     lam0 = rng.standard_normal(8) * 0.1
-    state = AdmmState(w=w0, z=z0, lam=lam0, sigma=cfg.sigma0, t=1)
+    tape0 = inner.forward(z0, return_tape=True)
+    state = AdmmState(w=w0, lam=lam0, sigma=cfg.sigma0, t=1, tape=tape0)
 
     new, rec = admm_step(problem, cfg, state)
 
@@ -239,7 +240,7 @@ def test_admm_step_update_order_and_hand_recomputation():
     (vz, vu), = gen.vjp_args
     np.testing.assert_array_equal(vz, z0)
     np.testing.assert_allclose(vu, lam0 + cfg.rho * (w0 - gz0), atol=1e-14)
-    z1 = problem.reg_z.prox(z0 + cfg.beta * inner.vjp(z0, vu), cfg.beta)
+    z1 = problem.reg_z.prox(z0 + cfg.beta * inner.vjp(tape0, vu), cfg.beta)
     np.testing.assert_allclose(new.z, z1, atol=1e-14)
 
     # the w update must read (w_t, z_{t+1}, lam_t); the hand-built state has
@@ -254,12 +255,11 @@ def test_admm_step_update_order_and_hand_recomputation():
     np.testing.assert_allclose(new.w, w1, atol=1e-14)
     np.testing.assert_array_equal(loss.grad_args[1], new.w)
 
-    # generator forward evaluations: old z (the hand-built state has no tape)
-    # then new z; the one vjp runs on the tape of the old z, not its own pass
-    assert len(gen.forward_args) == 2
-    np.testing.assert_array_equal(gen.forward_args[0], z0)
-    np.testing.assert_allclose(gen.forward_args[1], z1, atol=0)
-    assert gen.vjp_tapes[0] is gen.forward_tapes[0]
+    # one generator forward evaluation, at the new z (the state holds the
+    # tape of the old z); the one vjp runs on that tape, not its own pass
+    assert len(gen.forward_args) == 1
+    np.testing.assert_allclose(gen.forward_args[0], z1, atol=0)
+    assert gen.vjp_tapes[0] is tape0
 
     # dual update with the step-size schedule at t = 1
     gap1 = float(np.linalg.norm(w1 - gz1))
@@ -285,11 +285,11 @@ def test_admm_step_update_order_and_hand_recomputation():
     # reads the carried grad L(w_t) and matches the hand recomputation
     n_grads = len(loss.grad_args)
     new2, _ = admm_step(problem, cfg, new)
-    assert len(gen.forward_args) == 3
-    np.testing.assert_array_equal(gen.forward_args[2], new2.z)
+    assert len(gen.forward_args) == 2
+    np.testing.assert_array_equal(gen.forward_args[1], new2.z)
     assert len(gen.vjp_args) == 2
     np.testing.assert_array_equal(gen.vjp_args[1][0], new.z)
-    assert gen.vjp_tapes[1] is gen.forward_tapes[1]
+    assert gen.vjp_tapes[1] is gen.forward_tapes[0]
     assert len(loss.grad_args) == n_grads + 1
     np.testing.assert_array_equal(loss.grad_args[-1], new2.w)
     gz2 = inner.forward(new2.z)
@@ -336,7 +336,8 @@ def test_planted_solution_is_a_fixed_point():
     problem = quad_problem(gen, w_star)
     cfg = base_config(tau_c=1e-20)
     state = AdmmState(
-        w=w_star.copy(), z=z_star.copy(), lam=np.zeros(8), sigma=cfg.sigma0, t=1
+        w=w_star.copy(), lam=np.zeros(8), sigma=cfg.sigma0, t=1,
+        tape=gen.forward(z_star.copy(), return_tape=True),
     )
     final, trace = run(problem, cfg, state)
     assert len(trace) == 1  # stop metric is exactly zero at the optimum
@@ -660,6 +661,19 @@ def test_suggest_step_sizes():
         suggest_step_sizes(1e308, 0.5, rho=1e308)
     with pytest.raises(ValueError, match="gd_step"):
         suggest_step_sizes(1e308, est_kappa, rho=0.1)
+    # so is a step that overflows to inf, or whose denominator underflows to
+    # 0.0 (rho kappa_hat^2 = 5e-324 * 0.25 rounds to 0.0)
+    with pytest.raises(ValueError, match=r"rho too small: beta = 1/.* overflows"):
+        suggest_step_sizes(nu, 0.5, rho=5e-324)
+    with pytest.raises(ValueError, match="rho too small: beta"):
+        suggest_step_sizes(nu, est_kappa, rho=1e-320)
+    with pytest.raises(ValueError, match=r"nu too small: gd_step = 1/.* overflows"):
+        suggest_step_sizes(5e-324, 0.5, rho=1.0)
+    with pytest.raises(ValueError, match="nu too small: gd_step"):
+        suggest_step_sizes(1e-320, est_kappa, rho=1.0)
+    # rho < nu, so alpha = 1/nu, and kappa_hat keeps beta finite
+    with pytest.raises(ValueError, match=r"nu \+ rho too small: alpha overflows"):
+        suggest_step_sizes(1e-320, 1e10, rho=5e-324)
 
 
 positive = st.floats(1e-6, 1e6)

@@ -662,6 +662,10 @@ KAPPA_INF = one_layer("identity", 1e200, [[1, 0], [0, 1], [1, 1]])
 KAPPA_NAN = one_layer(
     "elu", 1e306, [[3, 0], [0, 3], [3, 3], [3, -3], [-3, 3], [-3, -3], [1, 2], [2, 1]]
 )
+# kappa_hat = 0.5 on the unit ball, so 5e-324 kappa_hat^2 rounds to 0.0
+KAPPA_HALF = [(("layers",), one_layer("identity", 0.5, [[1, 0], [0, 1], [0, 0]])),
+              (("domain_radius",), 1.0)]
+BETA_OVERFLOWS = "rho too small: beta = 1/(rho kappa_hat^2) overflows"
 
 
 @pytest.mark.parametrize(
@@ -730,6 +734,16 @@ KAPPA_NAN = one_layer(
         (["plateau-sweep", "--rho-values", "1,2", "--iters", str(10**15)], [],
          f"cannot keep {2 * 10**14} tail rows: Unable to allocate 2.84 PiB for "
          f"an array with shape ({2 * 10**14}, 2) and data type float64"),
+        # a step whose denominator underflows to 0.0, or that overflows to inf
+        (["estimate-geometry", "--rho", "5e-324"], KAPPA_HALF, BETA_OVERFLOWS),
+        (["estimate-geometry", "--nu-loss", "5e-324"], KAPPA_HALF,
+         "nu too small: gd_step = 1/(nu kappa_hat^2) overflows"),
+        (["plateau-sweep", "--rho-values", "5e-324,1", "--iters", "3"], KAPPA_HALF,
+         BETA_OVERFLOWS),
+        (["estimate-geometry", "--rho", "1e-320"], [], BETA_OVERFLOWS),
+        (["plateau-sweep", "--rho-values", "1e-320,2", "--iters", "5"], [],
+         BETA_OVERFLOWS),
+        (["run"], [("rho = 0.1", "rho = 1e-320")], BETA_OVERFLOWS),
     ],
 )
 def test_input_check_fails_with_one_line(tmp_path, capsys, argv, edits, message):
@@ -748,6 +762,18 @@ def test_input_check_fails_with_one_line(tmp_path, capsys, argv, edits, message)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f"error: config: {message}"]
+
+
+def test_compare_step_that_overflows_fails_before_any_solve(
+    tmp_path, capsys, process_count
+):
+    cfg = write_config(tmp_path, reference_config([("rho = 0.1", "rho = 1e-320")]))
+    out = tmp_path / "o"
+    assert main(["compare", str(cfg), "--out-dir", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: config: {BETA_OVERFLOWS}"]
+    assert list(out.iterdir()) == []  # no trace written
 
 
 def test_compare_with_every_step_given_estimates_no_geometry(

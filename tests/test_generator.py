@@ -114,7 +114,7 @@ def test_jacobian_matches_finite_differences():
         for _ in range(8):
             z = uniform_ball_point(rng, gen.input_dim, gen.domain_radius)
             want = fd_jacobian(gen.forward, z, h=1e-5)
-            got = gen.jacobian(z)
+            got = gen.jacobian(gen.forward(z, return_tape=True))
             err = np.abs(got - want).max() / (1.0 + np.abs(want).max())
             assert err < 1e-6, gen
 
@@ -126,36 +126,33 @@ def test_vjp_matches_dense_jacobian_transpose():
         for _ in range(10):
             z = uniform_ball_point(rng, gen.input_dim, gen.domain_radius)
             u = rng.standard_normal(gen.output_dim)
-            want = gen.jacobian(z).T @ u
-            got = gen.vjp(z, u)
+            tape = gen.forward(z, return_tape=True)
+            want = gen.jacobian(tape).T @ u
+            got = gen.vjp(tape, u)
             assert np.abs(got - want).max() <= 1e-12
 
 
-def test_tape_is_checked_against_point_and_generator():
+def test_tape_is_checked_against_generator_and_shape():
     gen = random_net(18, kinds=("elu", "tanh"))
     other = random_net(19, kinds=("elu", "tanh"))
     z = np.array([0.3, -0.4])
     u = np.ones(gen.output_dim)
     tape = gen.forward(z, return_tape=True)
     assert tape.z is z and len(tape.preacts) == len(gen.layers)
-    # an equal copy of z is the same point
-    np.testing.assert_array_equal(gen.vjp(z.copy(), u, tape=tape), gen.vjp(z, u))
-    with pytest.raises(ValueError, match="different latent point"):
-        gen.vjp(z + 1e-9, u, tape=tape)
-    with pytest.raises(ValueError, match="different latent point"):
-        gen.jacobian(np.zeros(3), tape=tape)
+    again = gen.forward(z, return_tape=True)
+    np.testing.assert_array_equal(gen.vjp(tape, u), gen.vjp(again, u))
     with pytest.raises(ValueError, match="different generator"):
-        other.vjp(z, u, tape=tape)
+        other.vjp(tape, u)
+    with pytest.raises(ValueError, match="different generator"):
+        other.jacobian(tape)
     with pytest.raises(ValueError, match="cotangent"):
-        gen.vjp(z, np.ones(3), tape=tape)
+        gen.vjp(tape, np.ones(3))
     v = np.array([1.0, 2.0])
-    np.testing.assert_array_equal(gen.jvp(z.copy(), v, tape=tape), gen.jvp(z, v))
-    with pytest.raises(ValueError, match="different latent point"):
-        gen.jvp(z + 1e-9, v, tape=tape)
+    np.testing.assert_array_equal(gen.jvp(tape, v), gen.jvp(again, v))
     with pytest.raises(ValueError, match="different generator"):
-        other.jvp(z, v, tape=tape)
+        other.jvp(tape, v)
     with pytest.raises(ValueError, match="tangent"):
-        gen.jvp(z, u, tape=tape)
+        gen.jvp(tape, u)
 
 
 def test_constructor_rejects_bad_shapes():
@@ -322,7 +319,8 @@ def test_geometry_remainder_bound_on_fresh_pairs():
         diff = z2 - z1
         if np.linalg.norm(diff) < 1e-12:
             continue
-        rem = gen.forward(z2) - gen.forward(z1) - gen.jacobian(z1) @ diff
+        tape1 = gen.forward(z1, return_tape=True)
+        rem = gen.forward(z2) - tape1.output - gen.jacobian(tape1) @ diff
         cap = 0.5 * (1.2 * est.nu_g_hat) * np.linalg.norm(diff) ** 2
         assert np.linalg.norm(rem) <= cap
 

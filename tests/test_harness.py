@@ -290,7 +290,7 @@ def test_plateau_vs_rho_overflowing_target_fails_on_w_like_its_serial_run():
 
 def test_plateau_vs_rho_validation():
     gen = random_net(seed=11, sizes=(2, 6), kinds=("elu",), scale=0.8)
-    args = dict(rho_values=(1.0, 2.0), seeds=(0,), iters=20, geometry_pairs=10)
+    args = dict(rho_values=(1.0, 2.0), seeds=(0,), iters=20)
     bad = [
         dict(rho_values=(1.0,)),
         dict(seeds=()),

@@ -29,9 +29,8 @@ REFERENCE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "referen
 
 
 class CountingGenerator(FeedforwardGenerator):
-    """A real generator that counts forward traces (including those vjp,
-    jvp and jacobian would run internally), logging a copy of the latent of
-    each, and backward passes."""
+    """A real generator that counts forward traces, logging a copy of the
+    latent of each, and backward passes."""
 
     def __init__(self, inner):
         super().__init__(inner.layers, inner.domain_radius)
@@ -44,9 +43,9 @@ class CountingGenerator(FeedforwardGenerator):
         self.traced.append(np.copy(z))
         return super()._forward_trace(z)
 
-    def vjp(self, z, u, tape=None):
+    def vjp(self, tape, u):
         self.vjps += 1
-        return super().vjp(z, u, tape=tape)
+        return super().vjp(tape, u)
 
     def reset(self):
         self.traces = self.vjps = 0
@@ -82,18 +81,6 @@ def test_warm_admm_step_runs_one_forward_and_one_vjp(w_step):
         gen.reset()
         state, _ = admm_step(problem, cfg, state)
         assert (gen.traces, gen.vjps) == (1, 1)
-
-
-def test_cold_admm_step_computes_its_tape():
-    gen = CountingGenerator(random_net(32, kinds=("elu", "tanh")))
-    problem = cs_problem(gen)
-    cfg = config()
-    state = AdmmState(
-        w=np.zeros(gen.output_dim), z=np.array([0.1, 0.2]),
-        lam=np.zeros(gen.output_dim), sigma=cfg.sigma0, t=1,
-    )
-    admm_step(problem, cfg, state)
-    assert (gen.traces, gen.vjps) == (2, 1)
 
 
 def test_run_gd_runs_one_forward_and_one_vjp_per_iteration():
@@ -161,12 +148,14 @@ def test_replaced_iterate_drops_its_stale_caches(w_step):
 
     z2 = np.array([-0.5, 0.7])
     w2 = state.w + 0.25
-    moved_z = dataclasses.replace(state, z=z2)
+    tape2 = gen.forward(z2, return_tape=True)
+    moved_z = dataclasses.replace(state, tape=tape2)
     moved_w = dataclasses.replace(state, w=w2)
-    assert moved_z.tape is None and moved_w.w_grad is None
+    assert moved_z.z is z2 and moved_w.w_grad is None
 
-    fresh_z = AdmmState(w=state.w, z=z2, lam=state.lam, sigma=state.sigma, t=state.t)
-    fresh_w = AdmmState(w=w2, z=state.z, lam=state.lam, sigma=state.sigma, t=state.t)
+    kept = dict(lam=state.lam, sigma=state.sigma, t=state.t)
+    fresh_z = AdmmState(w=state.w, tape=tape2, **kept)
+    fresh_w = AdmmState(w=w2, tape=state.tape, **kept)
     for moved, fresh in ((moved_z, fresh_z), (moved_w, fresh_w)):
         _assert_same_step(admm_step(problem, cfg, moved), admm_step(problem, cfg, fresh))
 
@@ -198,9 +187,9 @@ def test_plateau_sweep_runs_one_batched_forward_per_iteration(monkeypatch):
                 self.forwards.append(np.shape(z))
             return super().forward(z, return_tape=return_tape)
 
-        def vjp(self, z, u, tape=None):
-            self.vjps.append(np.shape(z))
-            return super().vjp(z, u, tape=tape)
+        def vjp(self, tape, u):
+            self.vjps.append(np.shape(tape.z))
+            return super().vjp(tape, u)
 
     def bracketed(fn):
         def call(gen, *args, **kwargs):
@@ -216,7 +205,7 @@ def test_plateau_sweep_runs_one_batched_forward_per_iteration(monkeypatch):
         monkeypatch.setattr(priorsolve.harness, fn.__name__, bracketed(fn))
     gen = ShapeLog(random_net(37, sizes=(2, 6), kinds=("elu",), scale=0.8))
     rhos, seeds, iters = (1.0, 2.0, 4.0), (0, 1), 40
-    plateau_vs_rho(gen, rhos, seeds, iters=iters, geometry_pairs=20)
+    plateau_vs_rho(gen, rhos, seeds, iters=iters)
     batch = (len(rhos) * len(seeds), gen.input_dim)
     assert gen.forwards == [batch] * (iters + 1)
     assert gen.vjps == [batch] * iters

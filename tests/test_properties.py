@@ -104,12 +104,12 @@ def test_tape_reuse_is_bit_identical(data):
     rows = data.draw(st.none() | st.integers(1, 5))
     z = arrays(data.draw, gen.input_dim, rows)
     u = arrays(data.draw, gen.output_dim, rows)
-    tape = gen.forward(z, return_tape=True)
+    tape, again = gen.forward(z, return_tape=True), gen.forward(z, return_tape=True)
     np.testing.assert_array_equal(tape.output, gen.forward(z))
-    np.testing.assert_array_equal(gen.vjp(z, u, tape=tape), gen.vjp(z, u))
-    np.testing.assert_array_equal(gen.jvp(z, z, tape=tape), gen.jvp(z, z))
+    np.testing.assert_array_equal(gen.vjp(tape, u), gen.vjp(again, u))
+    np.testing.assert_array_equal(gen.jvp(tape, z), gen.jvp(again, z))
     if rows is None:
-        np.testing.assert_array_equal(gen.jacobian(z, tape=tape), gen.jacobian(z))
+        np.testing.assert_array_equal(gen.jacobian(tape), gen.jacobian(again))
 
 
 @settings(max_examples=60, deadline=None)
@@ -119,13 +119,17 @@ def test_batched_rows_match_single_latent_calls(data):
     rows = data.draw(st.integers(1, 5))
     z = arrays(data.draw, gen.input_dim, rows)
     u = arrays(data.draw, gen.output_dim, rows)
-    out, vjp = gen.forward(z), gen.vjp(z, u)
+    tape = gen.forward(z, return_tape=True)
+    out, vjp = tape.output, gen.vjp(tape, u)
     assert out.shape == (rows, gen.output_dim) and vjp.shape == z.shape
     # matrix-matrix and matrix-vector products round differently; atol covers
     # entries that cancel to near zero (inputs and weights are O(1))
     for b in range(rows):
         np.testing.assert_allclose(out[b], gen.forward(z[b]), rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(vjp[b], gen.vjp(z[b], u[b]), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(
+            vjp[b], gen.vjp(gen.forward(z[b], return_tape=True), u[b]),
+            rtol=1e-12, atol=1e-12,
+        )
 
 
 @settings(max_examples=60, deadline=None)
@@ -136,13 +140,14 @@ def test_jvp_matches_dense_jacobian(data):
     z = arrays(data.draw, gen.input_dim, rows)
     v = arrays(data.draw, gen.input_dim, rows)
     tape = gen.forward(z, return_tape=True)
-    got, taped = gen.jvp(z, v), gen.jvp(z, v, tape=tape)
+    again = gen.forward(z, return_tape=True)
+    got, taped = gen.jvp(again, v), gen.jvp(tape, v)
     assert got.shape == tape.output.shape
     pairs = [(z, v, got, taped)] if rows is None else zip(z, v, got, taped)
     # the forward-mode pass and the dense product sum in different orders;
     # atol covers entries that cancel to near zero
     for zb, vb, got_b, taped_b in pairs:
-        want = gen.jacobian(zb) @ vb
+        want = gen.jacobian(gen.forward(zb, return_tape=True)) @ vb
         np.testing.assert_allclose(got_b, want, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(taped_b, want, rtol=1e-12, atol=1e-12)
 
@@ -208,24 +213,25 @@ def test_batched_shape_errors(data):
     rows = data.draw(st.integers(1, 5))
     z = arrays(data.draw, gen.input_dim, rows)
     u = np.zeros((rows, gen.output_dim))
+    tape, head = gen.forward(z, return_tape=True), gen.forward(z[0], return_tape=True)
     with pytest.raises(ValueError, match="input"):
         gen.forward(np.zeros((rows, gen.input_dim + 1)))
     with pytest.raises(ValueError, match="input"):
         gen.forward(z[None])
     with pytest.raises(ValueError, match="cotangent"):
-        gen.vjp(z, u[:-1] if rows > 1 else u[0])
+        gen.vjp(tape, u[:-1] if rows > 1 else u[0])
     with pytest.raises(ValueError, match="cotangent"):
-        gen.vjp(z, np.zeros((rows + 1, gen.output_dim)))
+        gen.vjp(tape, np.zeros((rows + 1, gen.output_dim)))
     with pytest.raises(ValueError, match="cotangent"):
-        gen.vjp(z[0], u)
+        gen.vjp(head, u)
     with pytest.raises(ValueError, match="single latent"):
-        gen.jacobian(z)
+        gen.jacobian(tape)
     with pytest.raises(ValueError, match="tangent"):
-        gen.jvp(z, z[:-1] if rows > 1 else z[0])
+        gen.jvp(tape, z[:-1] if rows > 1 else z[0])
     with pytest.raises(ValueError, match="tangent"):
-        gen.jvp(z, np.zeros((rows, gen.input_dim + 1)))
+        gen.jvp(tape, np.zeros((rows, gen.input_dim + 1)))
     with pytest.raises(ValueError, match="tangent"):
-        gen.jvp(z[0], z)
+        gen.jvp(head, z)
 
 
 @settings(max_examples=60, deadline=None)
