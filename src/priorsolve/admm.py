@@ -240,11 +240,11 @@ def dual_update(sigma0, lam, resid, gap, t):
 
 def exact_w_min(loss, gz, lam, rho, reg_w=None):
     """argmin_w AL(w, z, lam) + R(w) given gz = G(z).  With R = 0 (None or
-    kind zero) it is c = loss.w_minimizer, and rho may be a (B, 1) column for
-    a loss that takes a (B, d) stack (AdmmConfig and plateau_vs_rho check
-    rho).  Else the loss needs mu = nu, so AL = (nu + rho)/2 ||w - c||^2 +
-    const and the step is prox_{R/(nu+rho)}(c) (Parikh & Boyd 2014, 2.2).
-    Raises UnsupportedLossError for a loss without the step."""
+    kind zero) it is c = loss.w_minimizer, and rho may be a (B, 1) column or
+    its (B, d) repeat for a loss taking a (B, d) stack (AdmmConfig and
+    plateau_vs_rho check rho).  Else the loss needs mu = nu, so AL = (nu +
+    rho)/2 ||w - c||^2 + const and the step is prox_{R/(nu+rho)}(c) (Parikh
+    & Boyd 2014, 2.2).  Raises UnsupportedLossError for a loss without it."""
     w = loss.w_minimizer(np.asarray(gz, dtype=float), np.asarray(lam, dtype=float), rho)
     if reg_w is None or reg_w.kind == "zero":
         return w
@@ -424,18 +424,24 @@ def _reciprocal(den, step, cause):
 
 def suggest_step_sizes(nu, kappa_hat, rho):
     """(alpha, beta, gd_step) for a loss of smoothness nu: alpha = 1/nu while
-    rho < nu, else 1/(nu + rho), so alpha (nu + rho) < 2 keeps the linearized
-    w step stable; beta = 1/(rho kappa_hat^2); gd_step = 1/(nu kappa_hat^2).
+    rho < nu - 2 ulp(nu), else 1/(nu + rho), so alpha (nu + rho) < 2 keeps the
+    linearized w step stable (1/nu may round up, and within two ulps of nu
+    that reaches 2); beta = 1/(rho kappa_hat^2); gd_step = 1/(nu kappa_hat^2).
     Raises ValueError when kappa_hat is not positive and finite (a sampled
-    estimate of an overflowing generator is inf or nan) or a step overflows
-    to inf or underflows to 0.0."""
+    estimate of an overflowing generator is inf or nan), when kappa_hat^2
+    overflows, or when a step overflows to inf or underflows to 0.0."""
     if not 0.0 < kappa_hat < math.inf:  # also false for nan
         raise ValueError(f"kappa_hat must be positive and finite, got {kappa_hat}")
     if not rho > 0.0:
         raise ValueError("rho must be strictly positive")
     if not nu > 0.0:
         raise ValueError("loss smoothness constant must be strictly positive")
-    beta = _reciprocal(rho * kappa_hat**2, "beta = 1/(rho kappa_hat^2)", "rho")
-    alpha = _reciprocal(nu if rho < nu else nu + rho, "alpha", "nu + rho")
-    gd_step = _reciprocal(nu * kappa_hat**2, "gd_step = 1/(nu kappa_hat^2)", "nu")
+    try:  # a float power raises where a product would round to inf
+        kappa_sq = kappa_hat**2
+    except OverflowError:
+        raise ValueError("kappa_hat too large: kappa_hat^2 overflows") from None
+    beta = _reciprocal(rho * kappa_sq, "beta = 1/(rho kappa_hat^2)", "rho")
+    below = rho < nu - 2.0 * math.ulp(nu)
+    alpha = _reciprocal(nu if below else nu + rho, "alpha", "nu + rho")
+    gd_step = _reciprocal(nu * kappa_sq, "gd_step = 1/(nu kappa_hat^2)", "nu")
     return alpha, beta, gd_step

@@ -24,7 +24,7 @@ outside the range below, a missing required key, or max_iters with eadmm.
   tau_c              positive float, default 1e-12
   max_iters          positive integer (gd / admm; an error with eadmm)
   alpha, beta        positive floats; when omitted, alpha = 1/nu_L (loss
-                     smoothness) while rho < nu_L, else 1/(nu_L + rho), and
+                     smoothness) while rho < nu_L - 2 ulp, else 1/(nu_L + rho), and
                      beta = 1/(rho kappa_hat^2) from the estimated geometry
   geometry_pairs     integer >= 2, default 2000 (used when a step is omitted)
   stages             positive integer (required for eadmm)

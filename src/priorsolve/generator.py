@@ -13,11 +13,13 @@ and of the strong-smoothness constant nu bounding the linearization
 remainder ||G(z') - G(z) - DG(z)(z' - z)|| <= (nu / 2) * ||z' - z||^2,
 plus a JSON description format whose key lists are each stated once, in the
 _fields call that checks them.  A geometry estimate draws its points one at
-a time (only the random draws and each radial scalar), then scales them and
-takes the pair distances over all of them at once.  It evaluates the pairs
-in blocks, one batched forward pass and one batched JVP per block, sized so
-that no block array holds more than about _BLOCK_ELEMENTS values: its memory
-beyond the drawn pairs stays bounded as the pair count grows.
+a time (only the random draws and each radial scalar), then tests their
+norms (replaying the stream with per-point redraws if one is too short to
+normalize), scales them and takes the pair distances over all at once.  It
+evaluates the pairs in blocks, one batched forward pass and one batched JVP
+per block, sized so that no block array holds more than about
+_BLOCK_ELEMENTS values: its memory beyond the drawn pairs stays bounded as
+the pair count grows.
 """
 
 import json
@@ -46,6 +48,9 @@ RANK_TOL = 1e-10
 
 # pairs closer than this are redrawn when sampling difference quotients
 DEGENERATE_PAIR_TOL = 1e-12
+# a drawn direction of norm below 1e-30 is redrawn; np.vecdot's norms are a
+# few ulps from v.dot's, so all points at once are tested against twice that
+_REDRAW_MARGIN = 2e-30
 # one estimate gives up once it has drawn this many candidates per pair
 MAX_DRAWS_PER_PAIR = 100
 # a geometry estimate evaluates its pairs in blocks whose widest array holds
@@ -288,24 +293,34 @@ def _norm(v):
     return math.sqrt(v.dot(v))
 
 
-def _draw_pairs(normal, uniform, dim, radius, count):
-    """count candidate pairs from the stream, shape (count, 2, dim), and
+def _draw_pairs(rng, dim, radius, count):
+    """count candidate pairs from rng's stream, shape (count, 2, dim), and
     their distances.  The loop keeps only the draws and each point's radial
-    scalar; normalizing and scaling (in one point's order of roundings) and
-    the distances run once over all points.  A count beyond what numpy
-    allocates raises ValueError."""
+    scalar; the norm test, normalizing and scaling (in one point's order of
+    roundings) and the distances run once over all points.  A point to redraw
+    replays the stream from its start through a loop that redraws on the
+    spot.  A count beyond what numpy allocates raises ValueError."""
     try:
         pairs, scale = np.empty((count, 2, dim)), np.empty(2 * count)
     except MemoryError as exc:
         raise ValueError(f"cannot draw {count} geometry pairs: {exc}") from None
-    root, sqrt = 1.0 / dim, math.sqrt
+    root, sqrt, start = 1.0 / dim, math.sqrt, rng.bit_generator.state
+    # rng.random() is the draw that rng.uniform() scales by 1 and shifts by 0
+    normal, uniform, points = rng.standard_normal, rng.random, pairs.reshape(-1, dim)
     # stream order: z1 then z2 of pair 0, then of pair 1, ...
-    for k, v in enumerate(pairs.reshape(-1, dim)):
+    for k, v in enumerate(points):
         normal(out=v)
-        while sqrt(v.dot(v)) < 1e-30:  # _norm(v), inlined
-            normal(out=v)
         scale[k] = radius * uniform() ** root
-    pairs /= np.sqrt(np.vecdot(pairs, pairs))[..., None]
+    norms = np.sqrt(np.vecdot(pairs, pairs))
+    if (norms < _REDRAW_MARGIN).any():  # rare: replay with per-point redraws
+        rng.bit_generator.state = start
+        for k, v in enumerate(points):
+            normal(out=v)
+            while sqrt(v.dot(v)) < 1e-30:  # _norm(v), inlined
+                normal(out=v)
+            scale[k] = radius * uniform() ** root
+        norms = np.sqrt(np.vecdot(pairs, pairs))
+    pairs /= norms[..., None]
     pairs *= scale.reshape(count, 2, 1)
     diff = pairs[:, 1] - pairs[:, 0]
     return pairs, np.sqrt(np.vecdot(diff, diff))
@@ -332,9 +347,7 @@ def estimate_geometry(gen, n_pairs, seed):
     if 2.0 * radius <= DEGENERATE_PAIR_TOL:
         raise ValueError(f"domain_radius {radius!r} holds no non-degenerate pair")
     rng = np.random.default_rng(seed)
-    # rng.random() is the draw that rng.uniform() scales by 1 and shifts by 0
-    draw = (rng.standard_normal, rng.random, dim, radius)
-    pairs, dists = _draw_pairs(*draw, n_pairs)
+    pairs, dists = _draw_pairs(rng, dim, radius, n_pairs)
     drawn = n_pairs
     while not (keep := dists >= DEGENERATE_PAIR_TOL).all():
         missing = n_pairs - int(keep.sum())
@@ -343,7 +356,7 @@ def estimate_geometry(gen, n_pairs, seed):
                              f"of {n_pairs} non-degenerate pairs in {drawn} draws")
         # degenerate pairs are dropped and replaced from the stream, so the
         # kept pairs are its first n_pairs non-degenerate ones
-        more, more_dists = _draw_pairs(*draw, missing)
+        more, more_dists = _draw_pairs(rng, dim, radius, missing)
         drawn += missing
         pairs = np.concatenate((pairs[keep], more))
         dists = np.concatenate((dists[keep], more_dists))

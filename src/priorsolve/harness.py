@@ -29,10 +29,10 @@ they are noise around the attained floor -- and are excluded from the fit.
 reports where the feasibility gap and the recovery error level off, averaged
 over seeds.  Its rho x seed solves are independent and identical in shape,
 so they run in lockstep as one batch: every iterate is a (B, d) array with
-one row per solve and rho and beta are per-row columns, so an iteration
-costs one batched generator pass and one batched VJP instead of B of each.
-Its w step, dual update and beta are admm's exact_w_min, dual_update and
-suggest_step_sizes, as in admm_step and the config.
+one row per solve and rho and beta repeat each row's value along its row,
+so an iteration costs one batched generator pass and one batched VJP instead
+of B of each.  Its w step, dual update and beta are admm's exact_w_min,
+dual_update and suggest_step_sizes, as in admm_step and the config.
 Finiteness is tested as in admm_step, on the sum of z_{t+1} for z and on the
 sum of the row Lagrangians for w and lambda.
 """
@@ -261,9 +261,12 @@ def plateau_vs_rho(
     All rho x seed solves run in lockstep, one row each.  Row values equal
     those of admm.run on that instance up to the rounding of batched matrix
     products, and every iteration checks the whole batch in admm_step's
-    order, raising NonFiniteError(quantity, t) at the first failure.  Of
-    the feas_gap and dist_w columns only the tail window is kept, and a
-    window numpy cannot allocate raises ValueError before any solve.
+    order, raising NonFiniteError(quantity, t) at the first failure.  rho
+    and beta are (B, output_dim) and (B, input_dim), the bits of (B, 1)
+    columns without their broadcast, and each w - G(z) is carried to the
+    next iteration.  Of the feas_gap and dist_w columns only the tail window
+    is kept, and a window numpy cannot allocate raises ValueError before any
+    solve.
     """
     rho_values = sorted(float(r) for r in rho_values)
     seeds = [int(s) for s in seeds]
@@ -302,25 +305,28 @@ def plateau_vs_rho(
         [suggest_step_sizes(loss.nu, est.kappa_hat, r)[1] for r in rho_values],
         len(seeds),
     )
-    rho_col, beta_col = rho[:, None], beta[:, None]
+    rho_rows = np.repeat(rho[:, None], gen.output_dim, axis=1)
+    beta_rows = np.repeat(beta[:, None], gen.input_dim, axis=1)
 
     z = np.zeros((rho.size, gen.input_dim))
     tape = gen.forward(z, return_tape=True)
     w = tape.output
     lam = np.zeros_like(w)
+    resid = w - tape.output
     for t in range(1, iters + 1):
         # the instances have H = 0, whose prox is the identity
-        z = z - beta_col * grad_z_lagrangian(gen, tape, lam, w - tape.output, rho_col)
-        _ensure_finite(z.sum(), z, "z", t)
+        z = z - beta_rows * grad_z_lagrangian(gen, tape, lam, resid, rho_rows)
+        # np.add.reduce(x, None) is x.sum() without its Python wrapper
+        _ensure_finite(np.add.reduce(z, None), z, "z", t)
         tape = gen.forward(z, return_tape=True)
         gz = tape.output
-        w = exact_w_min(loss, gz, lam, rho_col)
+        w = exact_w_min(loss, gz, lam, rho_rows)
         resid = w - gz
         # row norms by np.linalg.norm's own formula, without its dispatch
         gap = np.sqrt(np.add.reduce(resid * resid, axis=1, keepdims=True))
         _, lam = dual_update(sigma0, lam, resid, gap, t)
         lagrangian = aug_lagrangian(loss.value(w), lam, resid, gap[:, 0], rho)
-        guard = lagrangian.sum()
+        guard = np.add.reduce(lagrangian, None)
         _ensure_finite(guard, w, "w", t)
         _ensure_finite(guard, lam, "lambda", t)
         _ensure_finite(guard, lagrangian, "lagrangian", t)

@@ -22,6 +22,7 @@ w has an exact step only for a loss with mu = nu (Hessian nu I): then it is
 prox_{R/(nu+rho)} of w_minimizer (admm.exact_w_min).
 """
 
+import functools
 import math
 import sys
 
@@ -105,11 +106,16 @@ class QuadraticDenoise(SmoothLoss):
     def convexity_constants(self):
         return (self.nu, self.nu)
 
+    @functools.cached_property
+    def _nu_target(self):
+        # on first use, so ScaledQuadratic's nu = 2 gamma is already set
+        return self.nu * self.target
+
     def w_minimizer(self, gz, lam, rho):
-        """(nu target - lam + rho gz) / (nu + rho).  With a (B, d) stack of
-        targets, gz and lam are (B, d) and rho may be a (B, 1) column: every
-        row is solved at once with its own rho."""
-        return (self.nu * self.target - lam + rho * gz) / (self.nu + rho)
+        """(nu target - lam + rho gz) / (nu + rho), nu target computed once.
+        With a (B, d) stack of targets, gz and lam are (B, d) and rho may be a
+        (B, 1) column or its (B, d) repeat: each row is solved with its rho."""
+        return (self._nu_target - lam + rho * gz) / (self.nu + rho)
 
 
 class ScaledQuadratic(QuadraticDenoise):

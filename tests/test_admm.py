@@ -674,6 +674,15 @@ def test_suggest_step_sizes():
     # rho < nu, so alpha = 1/nu, and kappa_hat keeps beta finite
     with pytest.raises(ValueError, match=r"nu \+ rho too small: alpha overflows"):
         suggest_step_sizes(1e-320, 1e10, rho=5e-324)
+    # 1/nu rounds up here, so alpha = 1/nu one ulp below rho = nu would give
+    # alpha (nu + rho) > 2 in exact arithmetic
+    nu_up = 385119.275390625
+    rho_up = math.nextafter(nu_up, 0.0)
+    alpha = suggest_step_sizes(nu_up, 1.0, rho_up)[0]
+    assert Fraction(alpha) * (Fraction(nu_up) + Fraction(rho_up)) < 2
+    # a float power raises OverflowError where a product rounds to inf
+    with pytest.raises(ValueError, match=r"kappa_hat too large: kappa_hat\^2 overflows"):
+        suggest_step_sizes(nu, 1e160, rho=1.0)
 
 
 positive = st.floats(1e-6, 1e6)
@@ -689,5 +698,5 @@ def test_suggested_alpha_keeps_the_linearized_w_step_stable(nu, rho, kappa, data
         rho = nu * (1.0 + data.draw(st.integers(-4, 4)) * np.finfo(float).eps)
     alpha, _, gd_step = suggest_step_sizes(nu, kappa, rho)
     assert Fraction(alpha) * (Fraction(nu) + Fraction(rho)) < 2
-    assert (alpha == 1.0 / nu) == (rho < nu)
+    assert (alpha == 1.0 / nu) == (rho < nu - 2.0 * math.ulp(nu))
     assert gd_step == 1.0 / (nu * kappa**2)

@@ -666,6 +666,10 @@ KAPPA_NAN = one_layer(
 KAPPA_HALF = [(("layers",), one_layer("identity", 0.5, [[1, 0], [0, 1], [0, 0]])),
               (("domain_radius",), 1.0)]
 BETA_OVERFLOWS = "rho too small: beta = 1/(rho kappa_hat^2) overflows"
+# kappa_hat = 1e160 on a radius-1e-10 ball, so kappa_hat**2 overflows
+KAPPA_HUGE = [(("layers",), one_layer("identity", 1e160, [[1, 0], [0, 1], [0, 0]])),
+              (("domain_radius",), 1e-10)]
+KAPPA_SQ_OVERFLOWS = "kappa_hat too large: kappa_hat^2 overflows"
 
 
 @pytest.mark.parametrize(
@@ -744,6 +748,9 @@ BETA_OVERFLOWS = "rho too small: beta = 1/(rho kappa_hat^2) overflows"
         (["plateau-sweep", "--rho-values", "1e-320,2", "--iters", "5"], [],
          BETA_OVERFLOWS),
         (["run"], [("rho = 0.1", "rho = 1e-320")], BETA_OVERFLOWS),
+        (["estimate-geometry"], KAPPA_HUGE, KAPPA_SQ_OVERFLOWS),
+        (["plateau-sweep", "--rho-values", "1,2", "--iters", "3"], KAPPA_HUGE,
+         KAPPA_SQ_OVERFLOWS),
     ],
 )
 def test_input_check_fails_with_one_line(tmp_path, capsys, argv, edits, message):
@@ -773,6 +780,24 @@ def test_compare_step_that_overflows_fails_before_any_solve(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f"error: config: {BETA_OVERFLOWS}"]
+    assert list(out.iterdir()) == []  # no trace written
+
+
+def test_compare_whose_kappa_hat_squared_overflows_fails_before_any_solve(
+    tmp_path, capsys, process_count
+):
+    doc = json.loads(write_orthonormal_generator(tmp_path).read_text())
+    for field, value in KAPPA_HUGE:
+        doc = with_field(doc, field, value)
+    gen = tmp_path / "gen.json"
+    gen.write_text(json.dumps(doc))
+    edit = (f"= {CONFIGS}/reference_generator.json", f"= {gen}")
+    cfg = write_config(tmp_path, reference_config([edit]))
+    out = tmp_path / "o"
+    assert main(["compare", str(cfg), "--out-dir", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: config: {KAPPA_SQ_OVERFLOWS}"]
     assert list(out.iterdir()) == []  # no trace written
 
 

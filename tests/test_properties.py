@@ -206,6 +206,38 @@ def test_batched_lagrangian_formulas_match_single_rows(data):
         )
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_rho_rows_give_the_bits_of_rho_columns(data):
+    """The lockstep sweep passes rho repeated along each row, (B, d), where
+    a (B, 1) column would broadcast: every elementwise product is the same,
+    so grad_z_lagrangian and exact_w_min return the same bits.  The
+    quadratic w steps hold nu target from their first call on, and equal
+    the formula evaluated directly on that call and the next."""
+    gen = data.draw(generators())
+    rows = data.draw(st.integers(1, 5))
+    z = arrays(data.draw, gen.input_dim, rows)
+    w = arrays(data.draw, gen.output_dim, rows)
+    lam = arrays(data.draw, gen.output_dim, rows)
+    target = arrays(data.draw, gen.output_dim, rows)
+    rho_col = np.array(data.draw(st.lists(
+        st.floats(1e-3, 100.0), min_size=rows, max_size=rows
+    )))[:, None]
+    rho_rows = np.repeat(rho_col, gen.output_dim, axis=1)
+    gamma = data.draw(st.floats(1e-3, 10.0))
+
+    tape = gen.forward(z, return_tape=True)
+    gz, resid = tape.output, w - tape.output
+    assert np.array_equal(grad_z_lagrangian(gen, tape, lam, resid, rho_col),
+                          grad_z_lagrangian(gen, tape, lam, resid, rho_rows))
+    assert np.array_equal(exact_w_min(QuadraticDenoise(target), gz, lam, rho_col),
+                          exact_w_min(QuadraticDenoise(target), gz, lam, rho_rows))
+    for loss in (QuadraticDenoise(target), ScaledQuadratic(target, gamma)):
+        for rho in (rho_col, rho_rows):  # the first call, then the second
+            direct = (loss.nu * target - lam + rho * gz) / (loss.nu + rho)
+            assert np.array_equal(loss.w_minimizer(gz, lam, rho), direct)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_batched_shape_errors(data):
