@@ -28,6 +28,11 @@ The iteration stops once
     ||z_{t+1} - z_t||^2 / alpha + ||w_{t+1} - w_t||^2 / beta
         + sigma_t ||w_t - G(z_t)||^2  <=  tau_c.
 
+Each step term is scaled by the other block's step: the z move by alpha,
+the w step, and the w move by beta, the z step.  With the exact w step
+(eadmm) alpha takes no step at all and weights only this metric; the stage
+loop still halves it per stage, as it does beta.
+
 run is the one driver.  Without a schedule it runs max_iters iterations at
 the config's rho, alpha and beta.  A MultiscaleSchedule chains stages
 k = 1..K with rho_k = 2^k rho, alpha_k = 2^-k alpha, beta_k = 2^-k beta and
@@ -256,7 +261,9 @@ def exact_w_min(loss, gz, lam, rho, reg_w=None):
 
 def stopping_metric(dz_sq, dw_sq, alpha, beta, sigma_prev, gap_prev):
     """dz_sq / alpha + dw_sq / beta + sigma_prev * gap_prev^2, from the
-    squared step norms dz_sq = ||dz||^2 and dw_sq = ||dw||^2."""
+    squared step norms dz_sq = ||dz||^2 and dw_sq = ||dw||^2.  The z move is
+    scaled by alpha, the w step, and the w move by beta, the z step; under
+    the exact w step alpha weights only this metric."""
     return dz_sq / alpha + dw_sq / beta + sigma_prev * gap_prev**2
 
 

@@ -23,7 +23,8 @@ Subcommands:
     Sweep the penalty weight on noisy denoising instances and report where
     the feasibility gap and recovery error level off.
 ``tune-gd --generator FILE --steps S1,S2,...``
-    Grid-search the baseline step size on a planted instance.
+    Grid-search the baseline step size on a planted instance; a grid whose
+    every step diverges is a configuration problem and recommends none.
 
 Exit codes: 0 success, 1 configuration problem, 2 numerical failure.  Every
 failure emits a single machine-readable line ``error: <category>: <detail>``
@@ -64,7 +65,7 @@ from .config import (
 from .gd import run_gd, tune_gd_step
 from .generator import estimate_geometry
 from .harness import DegenerateTrace, best_lagrangian, build_instance, fit_rate
-from .harness import plateau_vs_rho
+from .harness import PLATEAU_COLUMNS, plateau_vs_rho
 from .trace import _format, _trace_lines, _write_text, write_summary_csv
 from .trace import write_trace_csv
 
@@ -312,7 +313,7 @@ def cmd_plateau_sweep(args):
         sigma0=args.sigma0,
     )
     if args.out is not None:
-        write_summary_csv(rows, args.out, ("rho", "gap_plateau", "err_plateau"))
+        write_summary_csv(rows, args.out, PLATEAU_COLUMNS)
     for row in rows:
         print(
             f"rho={row['rho']:g} gap_plateau={_format(row['gap_plateau'])} "

@@ -106,7 +106,8 @@ def run_gd(loss, gen, cfg, z0, planted=None):
 def tune_gd_step(loss, gen, z0s, steps, budget):
     """Grid search: run each candidate step for a fixed budget from every
     start and score it by the mean final objective; divergent runs score
-    +inf.  Returns (best_step, [(step, score), ...])."""
+    +inf, and ValueError is raised when every candidate diverged.  Returns
+    (best_step, [(step, score), ...])."""
     steps = tuple(steps)
     z0s = list(z0s)
     if not steps:
@@ -129,5 +130,7 @@ def tune_gd_step(loss, gen, z0s, steps, budget):
                 except NonFiniteError:
                     finals.append(np.inf)
         results.append((step, float(np.mean(finals))))
+    if not any(np.isfinite([score for _, score in results])):
+        raise ValueError(f"every candidate step diverged within {budget} iterations")
     best = min(results, key=lambda pair: pair[1])[0]
     return best, results

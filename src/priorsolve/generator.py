@@ -2,10 +2,11 @@
 
 A generator G maps a low-dimensional latent vector z (inside a Euclidean
 ball) to an output vector of higher dimension through a stack of affine
-layers with elementwise activations.  Besides evaluation, this module
-provides the dense Jacobian, vector-Jacobian products for reverse-mode
-gradients, Jacobian-vector products for forward-mode directional
-derivatives, sampled estimates of the near-isometry constants
+layers with elementwise activations, each kind strictly increasing and C1
+as the Proposition asks of G.  Besides evaluation, this module provides
+the dense Jacobian, vector-Jacobian products for reverse-mode gradients,
+Jacobian-vector products for forward-mode directional derivatives, sampled
+estimates of the near-isometry constants
 
     iota * ||z' - z|| <= ||G(z') - G(z)|| <= kappa * ||z' - z||
 
@@ -25,7 +26,6 @@ the pair count grows.
 import json
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -39,8 +39,6 @@ __all__ = [
     "estimate_geometry",
     "load_generator",
 ]
-
-ACTIVATION_KINDS = ("identity", "elu", "softplus", "tanh", "sigmoid")
 
 # relative cutoff below which a singular value counts as zero: weight
 # matrices must clear it, and least-squares losses use it for strong convexity
@@ -63,54 +61,39 @@ def _sigmoid(x):
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
+# each kind's (value, derivative) on a float array; ELU's alpha is 1, where
+# exp(min(x, 0)) is its derivative on both sides of 0
+_ACTIVATIONS = {
+    "identity": (np.copy, np.ones_like),
+    "elu": (lambda x: np.where(x > 0.0, x, np.expm1(np.minimum(x, 0.0))),
+            lambda x: np.exp(np.minimum(x, 0.0))),
+    "softplus": (lambda x: np.logaddexp(0.0, x), _sigmoid),
+    "tanh": (np.tanh, lambda x: 1.0 - np.tanh(x) ** 2),
+    "sigmoid": (_sigmoid, lambda x: (s := _sigmoid(x)) * (1.0 - s)),
+}
+ACTIVATION_KINDS = tuple(_ACTIVATIONS)
+
+
 @dataclass(frozen=True)
 class Activation:
-    """Elementwise activation.  ELU with elu_alpha != 1 loses C1 smoothness
-    at the origin and is therefore flagged with a warning."""
+    """Elementwise activation of one of the ACTIVATION_KINDS, each strictly
+    increasing and C1 (ELU with alpha = 1, the one alpha at which its
+    derivative is continuous at 0)."""
 
     kind: str
-    elu_alpha: float = 1.0
 
     def __post_init__(self):
+        # a tuple test, so an unhashable kind (a JSON list) is a ValueError too
         if self.kind not in ACTIVATION_KINDS:
             raise ValueError(
                 f"unknown activation {self.kind!r}; expected one of {ACTIVATION_KINDS}"
             )
-        if self.kind == "elu":
-            if not 0.0 < self.elu_alpha < math.inf:  # also false for nan
-                raise ValueError("elu_alpha must be positive and finite")
-            if self.elu_alpha != 1.0:
-                warnings.warn(
-                    "ELU with elu_alpha != 1 is only piecewise C1", stacklevel=2
-                )
 
     def value(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.kind == "identity":
-            return x.copy()
-        if self.kind == "elu":
-            neg, a = np.expm1(np.minimum(x, 0.0)), self.elu_alpha
-            return np.where(x > 0.0, x, neg if a == 1.0 else a * neg)  # 1 * neg is neg
-        if self.kind == "softplus":
-            return np.logaddexp(0.0, x)
-        if self.kind == "tanh":
-            return np.tanh(x)
-        return _sigmoid(x)
+        return _ACTIVATIONS[self.kind][0](np.asarray(x, dtype=float))
 
     def derivative(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.kind == "identity":
-            return np.ones_like(x)
-        if self.kind == "elu":
-            if self.elu_alpha == 1.0:  # exp(0) = 1 is the derivative for x > 0
-                return np.exp(np.minimum(x, 0.0))
-            return np.where(x > 0.0, 1.0, self.elu_alpha * np.exp(np.minimum(x, 0.0)))
-        if self.kind == "softplus":
-            return _sigmoid(x)
-        if self.kind == "tanh":
-            return 1.0 - np.tanh(x) ** 2
-        s = _sigmoid(x)
-        return s * (1.0 - s)
+        return _ACTIVATIONS[self.kind][1](np.asarray(x, dtype=float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -427,8 +410,10 @@ def _materialize_layer(doc, index):
     explicit = isinstance(doc, dict) and "weights" in doc
     form, bias = ("weights", "bias_values") if explicit else ("init", "bias")
     doc = _fields(doc, f"layer {index}", ("activation", form), ("elu_alpha", bias))
-    alpha = _number(doc.get("elu_alpha", 1.0), f"layer {index} 'elu_alpha'")
-    act = Activation(doc["activation"], elu_alpha=alpha)
+    alpha = doc.get("elu_alpha", 1)
+    if type(alpha) not in (int, float) or alpha != 1:  # ELU is C1 only at 1
+        raise ValueError(f"layer {index}: 'elu_alpha' must be 1, where ELU is C1")
+    act = Activation(doc["activation"])
     if explicit:
         try:
             w = np.asarray(doc["weights"], dtype=float)

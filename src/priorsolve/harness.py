@@ -60,6 +60,9 @@ __all__ = [
 
 INSTANCE_KINDS = ("denoise_l2", "denoise_linf", "compressive_sensing")
 
+# the keys of each plateau_vs_rho row, in plateaus.csv column order
+PLATEAU_COLUMNS = ("rho", "gap_plateau", "err_plateau")
+
 # offsets this close to the plateau are treated as converged noise
 EPS_FLOOR = 1e-14
 
@@ -255,8 +258,7 @@ def plateau_vs_rho(
     early stop) from z = 0 on the denoise_l2 instance of every seed, with
     beta = 1/(rho kappa_hat^2) from one 2000-pair geometry estimate; the tail
     means of the feasibility gap and the recovery error are averaged over seeds.
-    Returns one dict per rho, sorted ascending, with keys rho / gap_plateau /
-    err_plateau.
+    Returns one dict per rho, sorted ascending, keyed by PLATEAU_COLUMNS.
 
     All rho x seed solves run in lockstep, one row each.  Row values equal
     those of admm.run on that instance up to the rounding of batched matrix
@@ -340,6 +342,6 @@ def plateau_vs_rho(
     gap_plateaus = gaps.mean(axis=0).reshape(per_rho).mean(axis=1)
     err_plateaus = errs.mean(axis=0).reshape(per_rho).mean(axis=1)
     return [
-        {"rho": r, "gap_plateau": float(g), "err_plateau": float(e)}
+        dict(zip(PLATEAU_COLUMNS, (r, float(g), float(e))))
         for r, g, e in zip(rho_values, gap_plateaus, err_plateaus)
     ]

@@ -36,7 +36,6 @@ def write_generator(tmp_path, gen=None, name="gen.json", seed=5, **kw):
     layers = [
         {
             "activation": layer.activation.kind,
-            "elu_alpha": layer.activation.elu_alpha,
             "weights": layer.weight.tolist(),
             "bias_values": layer.bias.tolist(),
         }

@@ -670,6 +670,8 @@ BETA_OVERFLOWS = "rho too small: beta = 1/(rho kappa_hat^2) overflows"
 KAPPA_HUGE = [(("layers",), one_layer("identity", 1e160, [[1, 0], [0, 1], [0, 0]])),
               (("domain_radius",), 1e-10)]
 KAPPA_SQ_OVERFLOWS = "kappa_hat too large: kappa_hat^2 overflows"
+ELU_ALPHA_NOT_ONE = ("cannot load generator: layer 0: 'elu_alpha' must be 1, where "
+                     "ELU is C1")
 
 
 @pytest.mark.parametrize(
@@ -751,6 +753,10 @@ KAPPA_SQ_OVERFLOWS = "kappa_hat too large: kappa_hat^2 overflows"
         (["estimate-geometry"], KAPPA_HUGE, KAPPA_SQ_OVERFLOWS),
         (["plateau-sweep", "--rho-values", "1,2", "--iters", "3"], KAPPA_HUGE,
          KAPPA_SQ_OVERFLOWS),
+        # an ELU with alpha != 1 is not C1, and the key is refused on any kind
+        (["estimate-geometry"], [(("layers", 0, "activation"), "elu"),
+                                 (("layers", 0, "elu_alpha"), 2.0)], ELU_ALPHA_NOT_ONE),
+        (["estimate-geometry"], [(("layers", 0, "elu_alpha"), 2.0)], ELU_ALPHA_NOT_ONE),
     ],
 )
 def test_input_check_fails_with_one_line(tmp_path, capsys, argv, edits, message):
@@ -1031,6 +1037,16 @@ def test_tune_gd(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.count("step=") >= 2
     assert "best_step=" in out
+
+
+def test_tune_gd_whose_every_step_diverges_recommends_none(capsys):
+    argv = ["--steps", "1e3,1e4", "--budget", "200"]
+    assert main(["tune-gd", "--generator", str(REFERENCE_GENERATOR), *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: config: every candidate step diverged within 200 iterations"
+    ]
 
 
 def test_tune_gd_rejects_infinite_step_with_one_line(tmp_path, capsys):

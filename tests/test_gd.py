@@ -229,3 +229,6 @@ def test_tune_gd_step_prefers_converging_step():
         tune_gd_step(loss, gen, [], steps, budget=5)
     with pytest.raises(ValueError):
         tune_gd_step(loss, gen, z0s, steps, budget=0)
+    # no step to recommend when every candidate diverged
+    with pytest.raises(ValueError, match="every candidate step diverged"):
+        tune_gd_step(loss, gen, z0s, (1e10, 1e12), budget=25)

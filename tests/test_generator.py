@@ -62,27 +62,36 @@ def test_activation_derivatives_match_finite_differences():
             assert abs(got - want) < 1e-6, (kind, x)
 
 
-def test_elu_derivative_with_alpha_matches_finite_differences():
-    # elu_alpha = 1 takes a shortcut in derivative; other values do not
-    with pytest.warns(UserWarning):
-        act = Activation("elu", elu_alpha=2.0)
-    for x in (-3.0, -0.5, -1e-3, 1e-3, 0.5, 3.0):
-        want = fd_grad(lambda v: float(act.value(v)[0]), np.array([x]), h=1e-6)[0]
-        assert abs(act.derivative(np.array([x]))[0] - want) < 1e-6, x
+@pytest.mark.parametrize("kind", ["relu", [], {}, None])
+def test_unknown_activation_kind_raises_value_error(kind):
+    # a list or a dict is unhashable, so a dict lookup would raise TypeError
+    with pytest.raises(ValueError, match="unknown activation"):
+        Activation(kind)
 
 
-def test_elu_alpha_validation_and_flag():
-    with pytest.raises(ValueError):
-        Activation("elu", elu_alpha=0.0)
-    with pytest.raises(ValueError):
-        Activation("elu", elu_alpha=-1.0)
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="positive and finite"):
-            Activation("elu", elu_alpha=bad)
-    with pytest.warns(UserWarning):
-        Activation("elu", elu_alpha=2.0)
-    with pytest.raises(ValueError):
-        Activation("relu")
+@pytest.mark.parametrize("alpha", [1, 1.0, "absent"])
+def test_elu_alpha_of_one_loads_as_if_absent(tmp_path, alpha):
+    doc = json.loads(REFERENCE_GENERATOR.read_text())  # it states 1.0
+    del doc["layers"][0]["elu_alpha"]
+    if alpha != "absent":
+        doc["layers"][0]["elu_alpha"] = alpha
+    path = tmp_path / "gen.json"
+    path.write_text(json.dumps(doc))
+    z = np.array([0.3, -0.7])
+    want = load_generator(REFERENCE_GENERATOR).forward(z)
+    assert load_generator(path).forward(z).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["elu", "identity"])
+@pytest.mark.parametrize("alpha", [2.0, 0, math.nan, True, "1", None, [1]])
+def test_elu_alpha_other_than_one_is_refused_on_any_layer(tmp_path, kind, alpha):
+    # ELU is C1 at the origin only for alpha = 1
+    doc = json.loads(REFERENCE_GENERATOR.read_text())
+    doc["layers"][0].update(activation=kind, elu_alpha=alpha)
+    path = tmp_path / "gen.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=r"^layer 0: 'elu_alpha' must be 1"):
+        load_generator(path)
 
 
 def test_linear_identity_forward_is_affine_map():
@@ -449,7 +458,6 @@ def scratch_json(tmp_path_factory):
     return tmp_path_factory.mktemp("generator_fields") / "gen.json"
 
 
-@pytest.mark.filterwarnings("ignore:ELU with elu_alpha")
 @settings(max_examples=200, deadline=None)
 @given(field=st.sampled_from(REFERENCE_FIELDS), value=json_values)
 def test_any_json_value_in_any_field_loads_or_raises_value_error(

@@ -51,8 +51,8 @@ EPS = np.finfo(float).eps
 @settings(max_examples=200, deadline=None)
 @given(arrays(np.float64, array_shapes(max_dims=2, max_side=16), elements=st.floats()))
 def test_elu_derivative_equals_its_piecewise_form(x):
-    """With elu_alpha = 1, derivative returns exp(min(x, 0)); exp(0) = 1
-    exactly, so it equals the piecewise form bit for bit, nan included."""
+    """ELU's derivative is exp(min(x, 0)); exp(0) = 1 exactly, so it equals
+    the piecewise form bit for bit, nan included."""
     with np.errstate(over="ignore"):
         piecewise = np.where(x > 0.0, 1.0, 1.0 * np.exp(np.minimum(x, 0.0)))
     assert Activation("elu").derivative(x).tobytes() == piecewise.tobytes()
@@ -61,11 +61,28 @@ def test_elu_derivative_equals_its_piecewise_form(x):
 @settings(max_examples=200, deadline=None)
 @given(arrays(np.float64, array_shapes(max_dims=2, max_side=16), elements=st.floats()))
 def test_elu_value_equals_its_alpha_form(x):
-    """With elu_alpha = 1, value skips the factor alpha: 1.0 * y is y bit for
+    """ELU's value equals its alpha form at alpha = 1: 1.0 * y is y bit for
     bit, nan included."""
     with np.errstate(over="ignore", invalid="ignore"):
         alpha_form = np.where(x > 0.0, x, 1.0 * np.expm1(np.minimum(x, 0.0)))
     assert Activation("elu").value(x).tobytes() == alpha_form.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(ACTIVATION_KINDS),
+    st.floats(-5.0, 5.0),
+    st.floats(1e-12, 1e-3),
+)
+def test_every_activation_is_strictly_increasing_and_c1(kind, x, h):
+    """The Proposition's activations: a positive derivative on [-5, 5], and
+    one whose one-sided limits at 0 (ELU's joint) agree with its value
+    there, |f'(+-h) - f'(0)| <= h (each kind's f'' is at most 1 near 0)."""
+    act = Activation(kind)
+    assert act.derivative(np.array([x]))[0] > 0.0
+    at_zero = act.derivative(np.array([0.0]))[0]
+    for side in (h, -h):
+        assert abs(act.derivative(np.array([side]))[0] - at_zero) <= h + EPS
 
 
 @st.composite
