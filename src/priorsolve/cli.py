@@ -4,8 +4,9 @@ Subcommands:
 
 ``run CONFIG``
     Solve one configured instance and write the trace / summary files named
-    in the config's [output] section.  Prints a one-line result whose
-    stop=tol or stop=budget says how the run ended.
+    in the config's [output] section: the trace text and summary row that
+    compare's solves produce for that method.  Prints a one-line result
+    whose stop=tol or stop=budget says how the run ended.
 ``compare CONFIG [--out-dir DIR]``
     Run the gradient baseline and both splitting variants on the same
     planted instance from one start.  Writes gd_trace.csv, admm_trace.csv,
@@ -49,6 +50,7 @@ import os
 import pickle
 import signal
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -67,7 +69,6 @@ from .generator import estimate_geometry
 from .harness import DegenerateTrace, best_lagrangian, build_instance, fit_rate
 from .harness import PLATEAU_COLUMNS, plateau_vs_rho
 from .trace import _format, _trace_lines, _write_text, write_summary_csv
-from .trace import write_trace_csv
 
 __all__ = ["main"]
 
@@ -119,7 +120,7 @@ def _seed_list(raw):
     return tuple(map(_seed, parts))
 
 
-def _summary_row(algo, trace, wall_ns):
+def _summary_row(algo, trace, zero_wall):
     last = trace.records[-1]
     try:
         fit = fit_rate(trace, best_lagrangian(trace))
@@ -131,19 +132,10 @@ def _summary_row(algo, trace, wall_ns):
         "final_obj": last.objective,
         "final_gap": last.feas_gap,
         "iters": len(trace),
-        "wall_ns": wall_ns,
+        "wall_ns": 0 if zero_wall else last.wall_ns,
         "eta_hat": eta_hat,
         "plateau": plateau,
     }
-
-
-def _print_result(algo, trace):
-    last = trace.records[-1]
-    print(
-        f"method={algo} rows={len(trace)} "
-        f"final_obj={_format(last.objective)} final_gap={_format(last.feas_gap)} "
-        f"stop={trace.stop_reason}"
-    )
 
 
 def _solve(method, cfg, gen, inst):
@@ -156,36 +148,30 @@ def _solve(method, cfg, gen, inst):
     return run(inst.problem, cfg, state, planted=inst.planted)[1]
 
 
-def _solve_each(cfgs, gen, inst):
-    """{method: (trace, None)} for each method of cfgs, {method: config}, in
-    order until the first that fails numerically.  That one gets (its partial
-    trace, (quantity, iteration)), and no later method runs."""
-    outcomes = {}
+def _solve_each(cfgs, gen, inst, zero_wall):
+    """{method: report} for each method of cfgs, {method: config}, in order
+    until the first that fails numerically, which is reported on its
+    partial trace; no later method runs.  A report is built in the process
+    that solved the method: (the trace's CSV text, its summary row or None
+    for a failed solve, its stop reason, the failure: None or (quantity,
+    iteration)).  zero_wall=True writes 0 for every wall clock."""
+    reports = {}
     for method, cfg in cfgs.items():
         try:
-            outcomes[method] = _solve(method, cfg, gen, inst), None
+            trace, failure = _solve(method, cfg, gen, inst), None
         except NonFiniteError as exc:  # the run loop attached the rows it completed
-            outcomes[method] = exc.trace, (exc.quantity, exc.iteration)
+            trace, failure = exc.trace, (exc.quantity, exc.iteration)
+        row = None if failure else _summary_row(method, trace, zero_wall)
+        text = "".join(_trace_lines(trace, zero_wall))
+        reports[method] = text, row, trace.stop_reason, failure
+        if failure:
             break
-    return outcomes
-
-
-def _report(outcomes):
-    """compare's report of each of _solve_each's outcomes, built in the
-    process that solved it: (the trace's CSV text with wall clocks zeroed,
-    its summary row or None for a failed solve, its stop reason, the
-    failure)."""
-    return {
-        method: ("".join(_trace_lines(trace, zero_wall=True)),
-                 None if failure else _summary_row(method, trace, wall_ns=0),
-                 trace.stop_reason, failure)
-        for method, (trace, failure) in outcomes.items()
-    }
+    return reports
 
 
 def _solve_split(cfgs, gen, inst):
-    """The _report of _solve_each's outcomes of every method in cfgs, each
-    process stopping at its own first numerical failure.  n processes share
+    """_solve_each's reports, wall clocks zeroed, on every method in cfgs,
+    each process stopping at its own first numerical failure.  n processes share
     the methods, one per core this process may run on and at most one per
     method (one without os.fork); process i solves every n-th method from
     the i-th and reports on them.  Process 0 is this one and the others are
@@ -210,7 +196,7 @@ def _solve_split(cfgs, gen, inst):
                 try:
                     os.close(read)
                     try:
-                        payload = _report(_solve_each(share, gen, inst))
+                        payload = _solve_each(share, gen, inst, zero_wall=True)
                     except Exception as exc:  # the parent reports it in one line
                         payload = f"{type(exc).__name__}: {exc}"
                     with open(write, "wb") as pipe:
@@ -221,7 +207,8 @@ def _solve_split(cfgs, gen, inst):
             unreaped.add(pid)
             os.close(write)
             workers.append((pid, open(read, "rb"), ", ".join(share)))
-        reports = _report(_solve_each({m: cfgs[m] for m in methods[::n]}, gen, inst))
+        reports = _solve_each({m: cfgs[m] for m in methods[::n]}, gen, inst,
+                              zero_wall=True)
         for pid, pipe, names in workers:
             data = pipe.read()
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
@@ -246,16 +233,19 @@ def cmd_run(args):
     settings = parse_config(args.config, command="run")
     gen, inst = load_problem(settings)
     cfgs = {settings.method: solver_settings(settings, gen, inst)}
-    trace, failure = _solve_each(cfgs, gen, inst)[settings.method]
+    reports = _solve_each(cfgs, gen, inst, settings.zero_wall)
+    text, row, stop, failure = reports[settings.method]
     if settings.trace_file is not None:
-        write_trace_csv(trace, settings.trace_file, zero_wall=settings.zero_wall)
+        _write_text(text, settings.trace_file)
     if failure is not None:  # raised once the rows it completed are written
         raise NonFiniteError(*failure)
     if settings.summary_file is not None:
-        wall = 0 if settings.zero_wall else trace.records[-1].wall_ns
-        write_summary_csv([_summary_row(settings.method, trace, wall)],
-                          settings.summary_file)
-    _print_result(settings.method, trace)
+        write_summary_csv([row], settings.summary_file)
+    print(
+        f"method={row['algo']} rows={row['iters']} "
+        f"final_obj={_format(row['final_obj'])} "
+        f"final_gap={_format(row['final_gap'])} stop={stop}"
+    )
     return 0
 
 
@@ -291,12 +281,8 @@ def cmd_estimate_geometry(args):
     gen = open_generator(args.generator)
     est = estimate_geometry(gen, args.pairs, seed=args.seed)
     alpha, beta, _ = suggest_step_sizes(args.nu_loss, est.kappa_hat, args.rho)
-    print(f"iota_hat={_format(est.iota_hat)}")
-    print(f"kappa_hat={_format(est.kappa_hat)}")
-    print(f"nu_g_hat={_format(est.nu_g_hat)}")
-    print(f"n_pairs={est.n_pairs}")
-    print(f"seed={est.seed}")
-    print(f"domain_radius={_format(est.domain_radius)}")
+    for field in fields(est):
+        print(f"{field.name}={_format(getattr(est, field.name))}")
     print(f"suggested_alpha={_format(alpha)}")
     print(f"suggested_beta={_format(beta)}")
     return 0

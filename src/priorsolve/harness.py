@@ -280,6 +280,8 @@ def plateau_vs_rho(
         raise ValueError("rho values must be distinct")
     if not seeds:
         raise ValueError("need at least one seed")
+    if len(set(seeds)) != len(seeds):
+        raise ValueError("seeds must be distinct")
     if iters < 1:
         raise ValueError("iters must be at least 1")
     if not sigma0 > 0.0:

@@ -551,15 +551,17 @@ def test_reference_stdout_is_pinned(capsys, command):
 
 @pytest.mark.parametrize("method", ["gd", "admm", "eadmm"])
 def test_run_writes_the_pinned_compare_trace(tmp_path, capsys, method):
-    # run and compare share one solve-and-write path, so `run` on the
-    # reference config writes compare's trace bytes for the same method
+    # run and compare share one solve-and-report path, so `run` on the
+    # reference config writes compare's trace bytes and summary row for the
+    # same method, and prints compare's numbers for it
     text = (CONFIGS / "reference.ini").read_text()
     edits = [
         ("method = admm", f"method = {method}"),
         ("file = reference_generator.json",
          f"file = {CONFIGS / 'reference_generator.json'}"),
         ("trace_file = reference_trace.csv",
-         f"trace_file = {tmp_path / 'trace.csv'}\nzero_wall = true"),
+         f"trace_file = {tmp_path / 'trace.csv'}\n"
+         f"summary_file = {tmp_path / 'summary.csv'}\nzero_wall = true"),
     ]
     if method == "eadmm":  # eadmm derives max_iters from the stage plan
         edits.append(("max_iters = 3000\n", ""))
@@ -567,9 +569,21 @@ def test_run_writes_the_pinned_compare_trace(tmp_path, capsys, method):
         assert text.count(old) == 1
         text = text.replace(old, new)
     assert main(["run", str(write_config(tmp_path, text))]) == 0
+    [run_line] = capsys.readouterr().out.splitlines()
     assert sha256(tmp_path / "trace.csv") == REFERENCE_COMPARE_SHA256[
         f"{method}_trace.csv"
     ]
+    out = tmp_path / "out"
+    assert main(["compare", str(CONFIGS / "reference.ini"), "--out-dir", str(out)]) == 0
+    [compare_line] = [line for line in capsys.readouterr().out.splitlines()
+                      if line.startswith(f"algo={method} ")]
+    header, *rows = (out / "summary.csv").read_text().splitlines()
+    assert (tmp_path / "summary.csv").read_text().splitlines() == [
+        header, *[row for row in rows if row.startswith(f"{method},")]
+    ]
+    assert run_line.replace(f"method={method} rows=", f"algo={method} iters=") == (
+        compare_line
+    )
 
 
 def test_compare_without_step_gives_gd_a_stable_step(tmp_path, capsys):
@@ -1007,6 +1021,7 @@ def test_plateau_sweep_single_rho(tmp_path, capsys):
         ["--rho-values=1,2", "--sigma0", "inf"],
         ["--rho-values=1,x"],
         ["--rho-values=1,2", "--seeds", "0,x"],
+        ["--rho-values=1,2", "--seeds", "0,1,0"],
     ],
 )
 def test_plateau_sweep_rejects_bad_input_with_one_line(tmp_path, capsys, extra):

@@ -306,6 +306,7 @@ def test_plateau_vs_rho_validation():
         dict(sigma0=math.nan),
         dict(noise_level=-0.1),
         dict(seeds=(0, -1)),
+        dict(seeds=(0, 0)),
     ]
     for kw in bad:
         with pytest.raises(ValueError), np.errstate(over="ignore"):
