@@ -1148,12 +1148,117 @@ def test_module_entry_point(tmp_path, case):
         assert read_trace_csv(out).column("t") == list(range(1, iteration))
 
 
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def without_blas_thread_variables():
+    return {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+
+
+# the benchmark's cs-compare instance of key 0: a 20 -> 256 (ELU) -> 784
+# (tanh) generator with seeded uniform init, and compressive sensing on it
+CS_KEY0_GENERATOR = {
+    "schema": 1,
+    "input_dim": 20,
+    "domain_radius": 3.0,
+    "layers": [
+        {"activation": "elu",
+         "init": {"kind": "uniform", "rows": 256, "cols": 20, "seed": 1}},
+        {"activation": "tanh",
+         "init": {"kind": "uniform", "rows": 784, "cols": 256, "seed": 2}},
+    ],
+}
+CS_KEY0_CONFIG = """\
+[problem]
+kind = compressive_sensing
+measurement_ratio = 0.5
+noise_level = 0.0
+seed = 0
+
+[generator]
+file = generator.json
+
+[algorithm]
+rho = 1.0
+sigma0 = 1e-4
+tau_c = 1e-12
+max_iters = 1500
+geometry_pairs = 200
+stages = 3
+stage_iters = 40
+step = 0.05
+"""
+
+
+def test_module_entry_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # np.linalg.eigh in LeastSquares.svd, which eadmm's exact w step reads,
+    # rounds this 392x784 instance differently on 1 and 2 OpenBLAS threads.
+    # entry() pins one thread before numpy loads, so a caller's environment
+    # cannot change a byte.  On a 1-core machine OpenBLAS runs one thread
+    # either way, and this test passes trivially.
+    (tmp_path / "generator.json").write_text(json.dumps(CS_KEY0_GENERATOR))
+    cfg = write_config(tmp_path, CS_KEY0_CONFIG, name="config.ini")
+    hashes = []
+    for threads in ({}, dict.fromkeys(BLAS_THREAD_VARIABLES, "1")):
+        out = tmp_path / f"out{len(hashes)}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "priorsolve", "compare", str(cfg), "--out-dir", str(out)],
+            capture_output=True,
+            text=True,
+            cwd=Path(priorsolve.__file__).parent.parent,
+            env=without_blas_thread_variables() | threads,
+        )
+        assert proc.returncode == 0 and proc.stderr == ""
+        hashes.append({p.name: sha256(p) for p in out.iterdir()})
+    assert len(hashes[0]) == 4
+    assert hashes[0] == hashes[1]
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs Linux /proc")
+def test_module_entry_leaves_one_thread(tmp_path):
+    # with OpenBLAS pinned before numpy loads, the process holds no BLAS
+    # worker threads, so compare's os.fork() runs in a one-thread process
+    path = write_orthonormal_generator(tmp_path)
+    code = (
+        "import os, sys\n"
+        "from priorsolve.__main__ import entry\n"
+        f"sys.argv[1:] = ['estimate-geometry', '--generator', {str(path)!r}, '--pairs', '50']\n"
+        "assert entry() == 0\n"
+        "print('threads', len(os.listdir('/proc/self/task')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        cwd=Path(priorsolve.__file__).parent.parent,
+        env=without_blas_thread_variables(),
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.splitlines()[-1] == "threads 1"
+
+
 def test_main_called_from_python_leaves_the_heap_unfrozen(tmp_path, capsys):
     # only the process entry freezes: a host process that imports priorsolve,
     # such as a test runner or a notebook, keeps its garbage collection
     path = write_orthonormal_generator(tmp_path)
     assert main(["estimate-geometry", "--generator", str(path), "--pairs", "50"]) == 0
     assert gc.get_freeze_count() == 0
+
+
+@pytest.mark.parametrize("value", [None, "2"])
+def test_main_called_from_python_leaves_the_blas_thread_variables(
+    tmp_path, capsys, monkeypatch, value
+):
+    # only the process entry pins BLAS to one thread: a host process keeps
+    # its own setting
+    for name in BLAS_THREAD_VARIABLES:
+        if value is None:
+            monkeypatch.delenv(name, raising=False)
+        else:
+            monkeypatch.setenv(name, value)
+    path = write_orthonormal_generator(tmp_path)
+    assert main(["estimate-geometry", "--generator", str(path), "--pairs", "50"]) == 0
+    assert [os.environ.get(name) for name in BLAS_THREAD_VARIABLES] == [value] * 3
 
 
 def test_console_script_runs_the_module_entry():

@@ -6,7 +6,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
-import priorsolve  # noqa: F401  (imports every module the tracer patches)
+import priorsolve.cli  # noqa: F401  (imports every module the tracer patches)
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
