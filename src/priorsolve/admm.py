@@ -216,30 +216,20 @@ def grad_z_lagrangian(gen, tape, lam, resid, rho):
     return -gen.vjp(tape, lam + rho * resid)
 
 
-def dual_step_size(sigma0, feas_gap, t):
-    """Diminishing dual step: min(sigma0, sigma0 / (gap * t * ln^2(t+1))).
-
-    A vanishing denominator (tiny gap) falls back to sigma0; either way the
-    dual increment sigma * gap never exceeds sigma0 / (t ln^2(t+1)).
-    feas_gap may be an array of per-row gaps, giving one step per row; it is
-    a norm the caller just computed, so its sign is not checked.
-    """
-    if sigma0 <= 0.0:
-        raise ValueError("sigma0 must be strictly positive")
-    if t < 1:
-        raise ValueError("iteration counter t is 1-based")
-    denom = feas_gap * t * math.log(t + 1.0) ** 2
+def dual_update(sigma0, lam, resid, gap, t):
+    """(sigma_{t+1}, lam + sigma_{t+1} r) with the diminishing dual step
+    sigma_{t+1} = min(sigma0, sigma0 / (gap * t * ln^2(t+1))): sigma0 when
+    the denominator vanishes (tiny gap), so the increment sigma * gap never
+    exceeds sigma0 / (t ln^2(t+1)).  A (B, 1) column of gaps gives each row
+    its own step.  sigma0 > 0 and t >= 1 are checked once, by AdmmConfig or
+    plateau_vs_rho and by AdmmState."""
+    denom = gap * t * math.log(t + 1.0) ** 2
     # sigma0 / max(1, denom) == min(sigma0, sigma0 / denom), without dividing
     # by a vanishing denom
     if isinstance(denom, np.ndarray):
-        return sigma0 / np.fmax(1.0, denom)
-    return sigma0 / max(1.0, denom)
-
-
-def dual_update(sigma0, lam, resid, gap, t):
-    """(sigma_{t+1}, lam + sigma_{t+1} r) with sigma_{t+1} from
-    dual_step_size.  A (B, 1) column of gaps gives each row its own step."""
-    sigma = dual_step_size(sigma0, gap, t)
+        sigma = sigma0 / np.fmax(1.0, denom)
+    else:
+        sigma = sigma0 / max(1.0, denom)
     return sigma, lam + sigma * resid
 
 
@@ -250,7 +240,7 @@ def exact_w_min(loss, gz, lam, rho, reg_w=None):
     plateau_vs_rho check rho).  Else the loss needs mu = nu, so AL = (nu +
     rho)/2 ||w - c||^2 + const and the step is prox_{R/(nu+rho)}(c) (Parikh
     & Boyd 2014, 2.2).  Raises UnsupportedLossError for a loss without it."""
-    w = loss.w_minimizer(np.asarray(gz, dtype=float), np.asarray(lam, dtype=float), rho)
+    w = loss.w_minimizer(gz, lam, rho)
     if reg_w is None or reg_w.kind == "zero":
         return w
     mu, nu = loss.convexity_constants()

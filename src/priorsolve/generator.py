@@ -15,12 +15,11 @@ remainder ||G(z') - G(z) - DG(z)(z' - z)|| <= (nu / 2) * ||z' - z||^2,
 plus a JSON description format whose key lists are each stated once, in the
 _fields call that checks them.  A geometry estimate draws its points one at
 a time (only the random draws and each radial scalar), then tests their
-norms (replaying the stream with per-point redraws if one is too short to
-normalize), scales them and takes the pair distances over all at once.  It
-evaluates the pairs in blocks, one batched forward pass and one batched JVP
-per block, sized so that no block array holds more than about
-_BLOCK_ELEMENTS values: its memory beyond the drawn pairs stays bounded as
-the pair count grows.
+norms (refusing one too short to normalize), scales them and takes the pair
+distances over all at once.  It evaluates the pairs in blocks, one batched
+forward pass and one batched JVP per block, sized so that no block array
+holds more than about _BLOCK_ELEMENTS values: its memory beyond the drawn
+pairs stays bounded as the pair count grows.
 """
 
 import json
@@ -46,9 +45,6 @@ RANK_TOL = 1e-10
 
 # pairs closer than this are redrawn when sampling difference quotients
 DEGENERATE_PAIR_TOL = 1e-12
-# a drawn direction of norm below 1e-30 is redrawn; np.vecdot's norms are a
-# few ulps from v.dot's, so all points at once are tested against twice that
-_REDRAW_MARGIN = 2e-30
 # one estimate gives up once it has drawn this many candidates per pair
 MAX_DRAWS_PER_PAIR = 100
 # a geometry estimate evaluates its pairs in blocks whose widest array holds
@@ -280,14 +276,14 @@ def _draw_pairs(rng, dim, radius, count):
     """count candidate pairs from rng's stream, shape (count, 2, dim), and
     their distances.  The loop keeps only the draws and each point's radial
     scalar; the norm test, normalizing and scaling (in one point's order of
-    roundings) and the distances run once over all points.  A point to redraw
-    replays the stream from its start through a loop that redraws on the
-    spot.  A count beyond what numpy allocates raises ValueError."""
+    roundings) and the distances run once over all points.  A direction of
+    norm below 1e-30 (probability ~1e-60 per point) or a count beyond what
+    numpy allocates raises ValueError."""
     try:
         pairs, scale = np.empty((count, 2, dim)), np.empty(2 * count)
     except MemoryError as exc:
         raise ValueError(f"cannot draw {count} geometry pairs: {exc}") from None
-    root, sqrt, start = 1.0 / dim, math.sqrt, rng.bit_generator.state
+    root = 1.0 / dim
     # rng.random() is the draw that rng.uniform() scales by 1 and shifts by 0
     normal, uniform, points = rng.standard_normal, rng.random, pairs.reshape(-1, dim)
     # stream order: z1 then z2 of pair 0, then of pair 1, ...
@@ -295,14 +291,8 @@ def _draw_pairs(rng, dim, radius, count):
         normal(out=v)
         scale[k] = radius * uniform() ** root
     norms = np.sqrt(np.vecdot(pairs, pairs))
-    if (norms < _REDRAW_MARGIN).any():  # rare: replay with per-point redraws
-        rng.bit_generator.state = start
-        for k, v in enumerate(points):
-            normal(out=v)
-            while sqrt(v.dot(v)) < 1e-30:  # _norm(v), inlined
-                normal(out=v)
-            scale[k] = radius * uniform() ** root
-        norms = np.sqrt(np.vecdot(pairs, pairs))
+    if (norms < 1e-30).any():
+        raise ValueError("drew a direction too short to normalize")
     pairs /= norms[..., None]
     pairs *= scale.reshape(count, 2, 1)
     diff = pairs[:, 1] - pairs[:, 0]
@@ -318,11 +308,12 @@ def estimate_geometry(gen, n_pairs, seed):
     DEGENERATE_PAIR_TOL) are dropped and more are drawn until n_pairs
     remain; a ball too small to hold a non-degenerate pair, or one that
     yields too few of them in MAX_DRAWS_PER_PAIR * n_pairs draws, raises
-    ValueError, as does an n_pairs too large to allocate.  The pairs are
-    then evaluated in blocks of at most _BLOCK_ELEMENTS / (2 output_dim)
-    pairs (at least one): one batched forward pass over a block's points,
-    and one batched JVP on the z1 rows of its tape for the linearizations
-    DG(z1)(z2 - z1); no Jacobian is formed.  Every pair's values are the same bits for every block size.
+    ValueError, as do an n_pairs too large to allocate and a drawn direction
+    too short to normalize.  The pairs are then evaluated in blocks of at
+    most _BLOCK_ELEMENTS / (2 output_dim) pairs (at least one): one batched
+    forward pass over a block's points, and one batched JVP on the z1 rows
+    of its tape for the linearizations DG(z1)(z2 - z1); no Jacobian is
+    formed.  Every pair's values are the same bits for every block size.
     """
     if n_pairs < 1:
         raise ValueError("n_pairs must be at least 1")

@@ -27,7 +27,9 @@ def project_l1_ball(v, radius):
     Sort-based threshold rule: with u the magnitudes sorted in decreasing
     order, the threshold is tau = (cumsum(u)_r - radius) / r at the largest
     r with u_r > (cumsum(u)_r - radius) / r, and the projection soft
-    thresholds v at tau.
+    thresholds v at tau.  r = 1 always passes in exact arithmetic; when
+    radius is below half an ulp of u_1 none passes in floating point, and
+    r = 1 gives tau = u_1, so the projection is 0, inside the ball.
     """
     if radius <= 0.0:
         raise ValueError("radius must be positive")
@@ -39,7 +41,8 @@ def project_l1_ball(v, radius):
     cumulative = np.cumsum(u)
     ranks = np.arange(1, u.size + 1)
     candidates = (cumulative - radius) / ranks
-    rho = int(np.nonzero(u > candidates)[0][-1])
+    passing = np.nonzero(u > candidates)[0]
+    rho = int(passing[-1]) if passing.size else 0
     tau = candidates[rho]
     return np.sign(v) * np.maximum(mags - tau, 0.0)
 

@@ -48,14 +48,21 @@ def write_generator(tmp_path, gen=None, name="gen.json", seed=5, **kw):
     return gen, path
 
 
+# with_field's value that deletes the field
+DROP = object()
+
+
 def with_field(doc, path, value):
     """A copy of the JSON document doc with the field at path (its keys and
-    list indices, outermost first) set to value."""
+    list indices, outermost first) set to value, or deleted for DROP."""
     doc = json.loads(json.dumps(doc))
     node = doc
     for key in path[:-1]:
         node = node[key]
-    node[path[-1]] = value
+    if value is DROP:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
     return doc
 
 

@@ -20,7 +20,7 @@ from priorsolve.admm import (
     UnsupportedLossError,
     admm_step,
     aug_lagrangian,
-    dual_step_size,
+    dual_update,
     exact_w_min,
     grad_z_lagrangian,
     initial_state,
@@ -126,21 +126,25 @@ def test_lagrangian_gradients_match_finite_differences():
         assert np.abs(gz - want_z).max() < 1e-6 * (1.0 + np.abs(want_z).max())
 
 
+def dual_step(sigma0, gap, t):
+    """The step dual_update takes, read off the increment on a unit residual
+    and a zero dual."""
+    sigma, lam = dual_update(sigma0, 0.0, 1.0, gap, t)
+    assert lam == sigma
+    return sigma
+
+
 def test_dual_step_size_frozen_values():
-    assert dual_step_size(1.0, 10.0, 1) == 0.2081368981005608
-    assert dual_step_size(1.0, 2.0, 1) == 1.0
-    assert dual_step_size(0.7, 0.0, 5) == 0.7  # zero gap falls back to sigma0
-    assert dual_step_size(0.7, 1e-310, 5) == 0.7  # underflow guard
-    with pytest.raises(ValueError):
-        dual_step_size(0.0, 1.0, 1)
-    with pytest.raises(ValueError):
-        dual_step_size(1.0, 1.0, 0)
+    assert dual_step(1.0, 10.0, 1) == 0.2081368981005608
+    assert dual_step(1.0, 2.0, 1) == 1.0
+    assert dual_step(0.7, 0.0, 5) == 0.7  # zero gap falls back to sigma0
+    assert dual_step(0.7, 1e-310, 5) == 0.7  # underflow guard
 
 
 def test_dual_step_size_decreases_in_t():
     prev = np.inf
     for t in (1, 2, 5, 10, 100, 1000):
-        s = dual_step_size(1.0, 4.0, t)
+        s = dual_step(1.0, 4.0, t)
         assert s <= prev
         prev = s
 
@@ -153,7 +157,7 @@ def test_dual_increment_is_summable():
         sigma0 = float(rng.uniform(0.1, 5.0))
         gap = float(10.0 ** rng.uniform(-12, 3))
         t = int(rng.integers(1, 10_000))
-        s = dual_step_size(sigma0, gap, t)
+        s = dual_step(sigma0, gap, t)
         cap = sigma0 / (t * math.log(t + 1) ** 2)
         assert s * gap <= cap * (1.0 + 1e-12)
 
@@ -263,7 +267,7 @@ def test_admm_step_update_order_and_hand_recomputation():
 
     # dual update with the step-size schedule at t = 1
     gap1 = float(np.linalg.norm(w1 - gz1))
-    sig1 = dual_step_size(cfg.sigma0, gap1, 1)
+    sig1 = min(cfg.sigma0, cfg.sigma0 / (gap1 * math.log(2.0) ** 2))
     assert new.sigma == sig1
     np.testing.assert_allclose(new.lam, lam0 + sig1 * (w1 - gz1), atol=1e-14)
     assert new.t == 2
@@ -518,6 +522,11 @@ def test_config_validation():
         MultiscaleSchedule(0, 5)
     with pytest.raises(ValueError):
         MultiscaleSchedule(2, 0)
+    # a state's sigma and t are the checks dual_update relies on
+    cases = ((0.0, 1, "sigma"), (math.nan, 1, "sigma"), (1.0, 0, "1-based"))
+    for sigma, t, message in cases:
+        with pytest.raises(ValueError, match=message):
+            AdmmState(w=np.zeros(2), lam=np.zeros(2), sigma=sigma, t=t, tape=None)
     cfg = base_config(w_step="exact", multiscale=MultiscaleSchedule(2, 5))
     assert cfg.multiscale.stages == 2
 

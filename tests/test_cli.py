@@ -20,7 +20,7 @@ from priorsolve.cli import main
 from priorsolve.generator import Activation, FeedforwardGenerator, Layer
 from priorsolve.trace import read_trace_csv
 
-from helpers import REFERENCE_GENERATOR, with_field, write_generator
+from helpers import DROP, REFERENCE_GENERATOR, with_field, write_generator
 
 
 def write_orthonormal_generator(tmp_path, rows=5, cols=2, name="ortho.json"):
@@ -407,6 +407,20 @@ def test_compare_and_eadmm_run_on_denoise_linf_are_pinned(tmp_path, capsys):
     assert trace.read_bytes() == (out / "eadmm_trace.csv").read_bytes()
 
 
+def test_compare_on_denoise_linf_with_a_tiny_weight(tmp_path, capsys):
+    # the l-inf prox projects onto an l1 ball of radius step * 1e-19, below
+    # half an ulp of the largest magnitude: that projection is 0
+    text = reference_config([
+        ("kind = denoise_l2", "kind = denoise_linf\nlinf_weight = 1e-19"),
+        ("noise_level = 0.0", "noise_level = 0.1"), ("max_iters = 3000", "max_iters = 50"),
+        ("stages = 3", "stages = 2"), ("stage_iters = 60", "stage_iters = 10"),
+    ])
+    out = tmp_path / "o"
+    assert main(["compare", str(write_config(tmp_path, text)), "--out-dir", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["algo=gd", "algo=admm", "algo=eadmm"]
+
+
 # admm on configs/reference.ini as rho passes nu_L = 1, where the suggested
 # alpha = 1/(nu_L + rho) keeps the linearized w step stable
 ADMM_PAST_NU = {"1": (922, "tol"), "1.5": (1133, "tol"), "2": (1342, "tol"),
@@ -771,6 +785,8 @@ ELU_ALPHA_NOT_ONE = ("cannot load generator: layer 0: 'elu_alpha' must be 1, whe
         (["estimate-geometry"], [(("layers", 0, "activation"), "elu"),
                                  (("layers", 0, "elu_alpha"), 2.0)], ELU_ALPHA_NOT_ONE),
         (["estimate-geometry"], [(("layers", 0, "elu_alpha"), 2.0)], ELU_ALPHA_NOT_ONE),
+        (["estimate-geometry"], [(("layers",), DROP)],
+         "cannot load generator: generator file is missing 'layers'"),
     ],
 )
 def test_input_check_fails_with_one_line(tmp_path, capsys, argv, edits, message):
@@ -1093,6 +1109,16 @@ def test_seed_flags_name_a_negative_seed(tmp_path, capsys, argv, flag, value):
     negative = value.rsplit(",", 1)[-1]
     assert captured.err.splitlines() == [
         f"error: config: argument {flag}: seed {negative!r} is negative"
+    ]
+
+
+def test_seed_flag_names_an_unparsable_seed(tmp_path, capsys):
+    _, gen_path = write_generator(tmp_path)
+    assert main(["estimate-geometry", "--generator", str(gen_path), "--seed", "abc"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: config: argument --seed: invalid int value: 'abc'"
     ]
 
 

@@ -12,13 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import REFERENCE_GENERATOR, random_net, with_field, write_generator
-from oracles import (
-    fd_grad,
-    fd_jacobian,
-    geometry_pairs,
-    sequential_geometry,
-    uniform_ball_point,
-)
+from oracles import fd_grad, fd_jacobian, uniform_ball_point
 from priorsolve import generator
 from priorsolve.generator import (
     DEGENERATE_PAIR_TOL,
@@ -261,21 +255,10 @@ def test_geometry_gives_up_on_a_ball_that_rarely_yields_a_pair():
 
 class ZeroDrawAt:
     """RNG(seed) whose standard normal draw number k (from 0) comes out as
-    zeros: a direction too short to normalize, which the draw must replace
-    with the stream's next one.  bit_generator.state carries the draw count
-    too, so a stream restored from a saved state zeroes the same draw."""
+    zeros: a direction too short to normalize."""
 
     def __init__(self, seed, k):
         self._rng, self._k, self.draws = RNG(seed), k, 0
-        self.bit_generator = self  # whose state is the property below
-
-    @property
-    def state(self):
-        return self._rng.bit_generator.state, self.draws
-
-    @state.setter
-    def state(self, value):
-        self._rng.bit_generator.state, self.draws = value
 
     def standard_normal(self, size=None, out=None):
         value = self._rng.standard_normal(size, out=out)
@@ -289,23 +272,13 @@ class ZeroDrawAt:
 
 
 @pytest.mark.parametrize("k", [0, 3, 11])
-def test_geometry_redraws_a_zero_direction_as_the_per_point_oracle_does(monkeypatch, k):
+def test_geometry_refuses_a_direction_too_short_to_normalize(monkeypatch, k):
     # a real draw lands below norm 1e-30 with probability ~1e-60 per point,
     # so a stream that zeroes draw k stands in for one
-    gen, n_pairs, seed = random_net(3), 6, 11
-    streams, drawn = [], []
-    draw_pairs = generator._draw_pairs
-    monkeypatch.setattr(np.random, "default_rng",
-                        lambda s: streams.append(ZeroDrawAt(s, k)) or streams[-1])
-    monkeypatch.setattr(generator, "_draw_pairs",
-                        lambda *a: drawn.append(draw_pairs(*a)) or drawn[-1])
-    est = estimate_geometry(gen, n_pairs, seed)
-    pairs = geometry_pairs(gen, n_pairs, seed)
-    assert streams[-1].draws == 2 * n_pairs + 1  # the oracle redrew one point
-    [(got, dists)] = drawn
-    assert np.array_equal(got, [(z1, z2) for z1, z2, _ in pairs])
-    assert np.array_equal(dists, [dist for _, _, dist in pairs])
-    assert est == sequential_geometry(gen, n_pairs, seed)
+    gen = random_net(3)
+    monkeypatch.setattr(np.random, "default_rng", lambda s: ZeroDrawAt(s, k))
+    with pytest.raises(ValueError, match="drew a direction too short to normalize"):
+        estimate_geometry(gen, n_pairs=6, seed=11)
 
 
 def test_geometry_orders_and_provenance():

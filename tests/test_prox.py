@@ -68,6 +68,10 @@ def test_project_l1_ball_frozen_cases():
     )
     v = np.array([0.3, -0.2, 0.1])
     np.testing.assert_array_equal(project_l1_ball(v, 1.0), v)
+    # a radius below half an ulp of the largest magnitude vanishes from every
+    # cumulative sum, so no rank passes the threshold test in floating point
+    tiny = project_l1_ball(np.array([0.3, -0.1, 0.05]), 1e-17)
+    assert np.abs(tiny).sum() <= 1e-17
 
 
 def test_project_l1_ball_matches_qp_oracle():

@@ -168,6 +168,12 @@ def test_read_rejects_foreign_header(tmp_path):
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError):
         read_trace_csv(path)
+    # the right header over a row one cell short
+    write_trace_csv(random_trace(3, 1), path)
+    lines = path.read_text().splitlines()
+    path.write_text(f"{lines[0]}\n{lines[1].rsplit(',', 1)[0]}\n")
+    with pytest.raises(ValueError, match="malformed trace row"):
+        read_trace_csv(path)
 
 
 def test_column_access():
