@@ -46,8 +46,9 @@ these formulas once, on values an iteration already holds and row by row on
 (B, d) stacks; admm_step and the lockstep sweep in harness call them.
 Closed-form w steps live on the losses (w_minimizer); admm_step and the
 sweep reach them through exact_w_min.  One run loop, _drive, steps each
-stage of run and gd.run_gd, and owns the clock, the observer, the stop
-test, the stop reason and the partial trace a NonFiniteError carries.
+stage of run and gd.run_gd, and owns the clock, the distances to a planted
+solution, the observer, the stop test, the stop reason and the partial
+trace a NonFiniteError carries.
 
 Finiteness is tested on scalars a step holds anyway: ||z_{t+1} - z_t||^2 for z,
 ||w_{t+1} - w_t||^2 for w and the Lagrangian (through <lambda, r>) for lambda.
@@ -115,8 +116,8 @@ class MultiscaleSchedule:
         return self.base_iters * 2**k
 
     def total_iters(self):
-        """The budget of the whole plan, summed over its stages."""
-        return sum(map(self.stage_iters, range(1, self.stages + 1)))
+        """The budget of the whole plan, its stage budgets summed in closed form."""
+        return self.base_iters * (2 ** (self.stages + 1) - 2)
 
 
 @dataclass(frozen=True)
@@ -264,7 +265,7 @@ def _ensure_finite(guard, value, name, iteration):
         raise NonFiniteError(name, iteration)
 
 
-def admm_step(problem, cfg, state, planted=None):
+def admm_step(problem, cfg, state):
     """One full iteration; returns (new_state, trace_record).
 
     Runs one generator forward pass (at z_{t+1}) and one VJP (at z_t, from
@@ -274,8 +275,8 @@ def admm_step(problem, cfg, state, planted=None):
 
     The record is evaluated at the new iterate (its Lagrangian uses the new
     dual) except for the stopping metric, which by construction mixes the
-    displacement with the previous sigma and feasibility gap.  wall_ns is
-    left at 0; the run loop (_drive) stamps it.
+    displacement with the previous sigma and feasibility gap.  The run
+    loop (_drive) stamps wall_ns, dist_w and dist_z.
     """
     loss, gen = problem.loss, problem.gen
     rho = cfg.rho
@@ -318,12 +319,6 @@ def admm_step(problem, cfg, state, planted=None):
     _ensure_finite(lagrangian, lam_new, "lambda", state.t)
     _ensure_finite(lagrangian, lagrangian, "lagrangian", state.t)
 
-    dist_w = dist_z = None
-    if planted is not None:
-        w_star, z_star = planted
-        dist_w = _norm(w_new - w_star)
-        dist_z = _norm(z_new - z_star)
-
     record = TraceRecord(
         t=state.t,
         objective=loss_new
@@ -337,8 +332,6 @@ def admm_step(problem, cfg, state, planted=None):
         stop_metric=stopping_metric(
             dz_sq, dw_sq, cfg.alpha, cfg.beta, state.sigma, gap
         ),
-        dist_w=dist_w,
-        dist_z=dist_z,
     )
     new_state = AdmmState(
         w=w_new, lam=lam_new, sigma=sigma_new, t=state.t + 1,
@@ -347,16 +340,20 @@ def admm_step(problem, cfg, state, planted=None):
     return new_state, record
 
 
-def _drive(step, state, max_iters, tol, trace, t0, observer=None):
+def _drive(step, state, max_iters, tol, trace, t0, planted=None, observer=None):
     """Apply step(state) -> (state, record) up to max_iters times, stamping
-    each record with the wall time since t0 (perf_counter_ns), appending it
-    to trace and passing (state, record) to the observer; returns the final
-    state.  Sets trace.stop_reason to "tol" once record.stop_metric <= tol,
-    else to "budget".  A NonFiniteError sets "nonfinite" and leaves with the
-    trace collected so far attached."""
+    each record with its state's dist_w = ||w - w*|| and dist_z = ||z - z*||
+    (given planted = (w*, z*)) and the wall time since t0 (perf_counter_ns),
+    appending it to trace and passing (state, record) to the observer;
+    returns the final state.  Sets trace.stop_reason to "tol" once
+    record.stop_metric <= tol, else to "budget".  A NonFiniteError sets
+    "nonfinite" and leaves with the trace collected so far attached."""
     try:
         for _ in range(max_iters):
             state, record = step(state)
+            if planted is not None:
+                record.dist_w = _norm(state.w - planted[0])
+                record.dist_z = _norm(state.z - planted[1])
             record.wall_ns = time.perf_counter_ns() - t0
             trace.append(record)
             if observer is not None:
@@ -388,8 +385,8 @@ def run(problem, cfg, state, planted=None, observer=None):
         )
         first_t = state.t
         state = _drive(
-            lambda s: admm_step(problem, stage_cfg, s, planted),
-            state, stage_cfg.max_iters, cfg.tau_c, trace, t0, observer,
+            lambda s: admm_step(problem, stage_cfg, s),
+            state, stage_cfg.max_iters, cfg.tau_c, trace, t0, planted, observer,
         )
         if sched is not None:
             trace.stages.append(StageInfo(

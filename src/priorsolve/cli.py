@@ -61,8 +61,7 @@ from .config import (
     load_problem,
     open_generator,
     parse_config,
-    solver_settings,
-    step_geometry,
+    solver_configs,
 )
 from .gd import run_gd, tune_gd_step
 from .generator import estimate_geometry
@@ -120,6 +119,11 @@ def _seed_list(raw):
     return tuple(map(_seed, parts))
 
 
+SUMMARY_COLUMNS = (
+    "algo", "final_obj", "final_gap", "iters", "wall_ns", "eta_hat", "plateau",
+)
+
+
 def _summary_row(algo, trace, zero_wall):
     last = trace.records[-1]
     try:
@@ -127,15 +131,9 @@ def _summary_row(algo, trace, zero_wall):
         eta_hat, plateau = fit.eta_hat, fit.plateau
     except (DegenerateTrace, ValueError):
         eta_hat, plateau = None, None
-    return {
-        "algo": algo,
-        "final_obj": last.objective,
-        "final_gap": last.feas_gap,
-        "iters": len(trace),
-        "wall_ns": 0 if zero_wall else last.wall_ns,
-        "eta_hat": eta_hat,
-        "plateau": plateau,
-    }
+    wall = 0 if zero_wall else last.wall_ns
+    values = (algo, last.objective, last.feas_gap, len(trace), wall, eta_hat, plateau)
+    return dict(zip(SUMMARY_COLUMNS, values))
 
 
 def _solve(method, cfg, gen, inst):
@@ -232,7 +230,7 @@ def _solve_split(cfgs, gen, inst):
 def cmd_run(args):
     settings = parse_config(args.config, command="run")
     gen, inst = load_problem(settings)
-    cfgs = {settings.method: solver_settings(settings, gen, inst)}
+    cfgs = solver_configs(settings, gen, inst, (settings.method,))
     reports = _solve_each(cfgs, gen, inst, settings.zero_wall)
     text, row, stop, failure = reports[settings.method]
     if settings.trace_file is not None:
@@ -240,7 +238,7 @@ def cmd_run(args):
     if failure is not None:  # raised once the rows it completed are written
         raise NonFiniteError(*failure)
     if settings.summary_file is not None:
-        write_summary_csv([row], settings.summary_file)
+        write_summary_csv([row], settings.summary_file, SUMMARY_COLUMNS)
     print(
         f"method={row['algo']} rows={row['iters']} "
         f"final_obj={_format(row['final_obj'])} "
@@ -253,11 +251,10 @@ def cmd_compare(args):
     settings = parse_config(args.config, command="compare")
     gen, inst = load_problem(settings)
     os.makedirs(args.out_dir, exist_ok=True)
-    geometry = step_geometry(settings, gen)
     # every config is resolved before any solve, so a bad setting fails with
     # no trace written; a suggested step factorizes the loss here, once, for
     # the forked workers to inherit
-    cfgs = {m: solver_settings(settings, gen, inst, m, geometry) for m in METHODS}
+    cfgs = solver_configs(settings, gen, inst, METHODS)
     reports = _solve_split(cfgs, gen, inst)
     # written in METHODS order, whichever process solved them, so the first
     # failure leaves the traces before it and its own partial trace
@@ -272,7 +269,7 @@ def cmd_compare(args):
             f"algo={algo} iters={row['iters']} final_obj={_format(row['final_obj'])} "
             f"final_gap={_format(row['final_gap'])} stop={stop}"
         )
-    write_summary_csv(rows, os.path.join(args.out_dir, "summary.csv"))
+    write_summary_csv(rows, os.path.join(args.out_dir, "summary.csv"), SUMMARY_COLUMNS)
     print("\n".join(lines))
     return 0
 

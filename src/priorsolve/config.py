@@ -43,7 +43,8 @@ stage_iters.  It fills a missing gd step with 1/(nu_L kappa_hat^2), the
 1/Lipschitz step of L(G(z)) when G bends little, from the same geometry
 estimate as beta; gd is stable below about 2/(nu_L kappa_hat^2), whatever
 rho is.  configs/reference.ini without its step (0.456 there) converges in
-955 iterations.
+955 iterations.  solver_configs resolves each method's solver config, with
+at most one geometry estimate for all of them.
 """
 
 import configparser
@@ -257,51 +258,34 @@ def load_problem(settings):
     return gen, inst
 
 
-def step_geometry(settings, gen):
-    """The geometry estimate that suggests omitted step sizes, or None when
-    the settings give alpha, beta and the gd step."""
-    if None not in (settings.alpha, settings.beta, settings.step):
-        return None
-    return estimate_geometry(gen, settings.geometry_pairs, seed=0)
-
-
-def solver_settings(settings, gen, inst, method=None, geometry=None):
-    """Solver config for one method, filling omitted step sizes: GdConfig
-    for gd, AdmmConfig for the splitting solvers.
-
-    method overrides settings.method (compare needs a config for every
-    method from one file).  Omitted steps come from one
-    admm.suggest_step_sizes call on the loss smoothness nu_L and the
-    estimated geometry; geometry, the result of step_geometry, spares a
-    second estimate when one file yields several configs.
-    """
-    method = settings.method if method is None else method
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
+def solver_configs(settings, gen, inst, methods):
+    """{method: solver config} for each of methods: GdConfig for gd,
+    AdmmConfig for admm and eadmm.  When some method omits its step (alpha
+    and beta for admm and eadmm, step for gd), one geometry estimate and one
+    admm.suggest_step_sizes call on the loss smoothness nu_L fill them all."""
     given = (settings.alpha, settings.beta, settings.step)
     alpha, beta, step = given
-    if None in ((step,) if method == "gd" else (alpha, beta)):
-        est = step_geometry(settings, gen) if geometry is None else geometry
+    if not set(methods) <= set(METHODS):
+        raise ValueError(f"unknown method in {methods!r}")
+    if any(None in ((step,) if m == "gd" else (alpha, beta)) for m in methods):
+        est = estimate_geometry(gen, settings.geometry_pairs, seed=0)
         nu = inst.problem.loss.convexity_constants()[1]
         suggested = suggest_step_sizes(nu, est.kappa_hat, settings.rho)
         alpha, beta, step = (s if g is None else g for g, s in zip(given, suggested))
-    if method == "gd":
-        return GdConfig(
-            step=step, max_iters=settings.max_iters, grad_tol=settings.grad_tol
+
+    def config(method):
+        if method == "gd":
+            return GdConfig(
+                step=step, max_iters=settings.max_iters, grad_tol=settings.grad_tol
+            )
+        schedule = None
+        if method == "eadmm":
+            schedule = MultiscaleSchedule(settings.stages, settings.stage_iters)
+        return AdmmConfig(
+            rho=settings.rho, alpha=alpha, beta=beta, sigma0=settings.sigma0,
+            tau_c=settings.tau_c,
+            max_iters=schedule.total_iters() if schedule else settings.max_iters,
+            w_step="exact" if schedule else "linearized", multiscale=schedule,
         )
-    max_iters, schedule = settings.max_iters, None
-    if method == "eadmm":
-        schedule = MultiscaleSchedule(
-            stages=settings.stages, base_iters=settings.stage_iters
-        )
-        max_iters = schedule.total_iters()
-    return AdmmConfig(
-        rho=settings.rho,
-        alpha=alpha,
-        beta=beta,
-        sigma0=settings.sigma0,
-        tau_c=settings.tau_c,
-        max_iters=max_iters,
-        w_step="linearized" if schedule is None else "exact",
-        multiscale=schedule,
-    )
+
+    return {method: config(method) for method in methods}

@@ -4,7 +4,8 @@ The baseline the splitting solver is measured against: plain descent on
 the smooth composition, blind to any nonsmooth penalty R on the output
 side.  Its trace uses the common schema with the w-columns reporting
 G(z_t), a feasibility gap of exactly zero (iterates live on the range of
-G by construction), and the gradient norm as the stopping metric.  Each
+G by construction), and the gradient norm as the stopping metric; the run
+loop (admm._drive) measures the planted distances at z and w = G(z).  Each
 iteration runs one generator forward pass at the new point, keeps its
 tape, and runs one VJP on that tape; one loss evaluation gives both the
 objective and the cotangent grad L(G(z)).
@@ -19,6 +20,7 @@ forward pass, and the stop metric ||grad h|| guards the gradient.
 
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,6 +57,22 @@ def grad_h(loss, gen, tape):
     return gen.vjp(tape, loss.grad(tape.output))
 
 
+class _GdPoint(NamedTuple):
+    """Descent iterate: counter t, tape of z, grad h(z); its w is G(z)."""
+
+    t: int
+    tape: object
+    grad: np.ndarray
+
+    @property
+    def z(self):
+        return self.tape.z
+
+    @property
+    def w(self):
+        return self.tape.output
+
+
 def run_gd(loss, gen, cfg, z0, planted=None):
     """Descend h from z0; returns (final z, trace).
 
@@ -67,40 +85,32 @@ def run_gd(loss, gen, cfg, z0, planted=None):
     tape0 = gen.forward(z0, return_tape=True)
 
     def step(point):
-        t, z, g, gz = point
-        z_new = z - cfg.step * g
+        t, z = point.t, point.z
+        z_new = z - cfg.step * point.grad
         step_z = _norm(z_new - z)
         _ensure_finite(step_z, z_new, "z", t)
         tape = gen.forward(z_new, return_tape=True)
-        gz_new = tape.output
-        objective, loss_grad = loss.value_and_grad(gz_new)
+        objective, loss_grad = loss.value_and_grad(tape.output)
         g_new = gen.vjp(tape, loss_grad)
         g_norm = _norm(g_new)
         _ensure_finite(g_norm, g_new, "gradient", t)
         _ensure_finite(objective, objective, "objective", t)
-        dist_w = dist_z = None
-        if planted is not None:
-            w_star, z_star = planted
-            dist_w = _norm(gz_new - w_star)
-            dist_z = _norm(z_new - z_star)
         record = TraceRecord(
             t=t,
             objective=objective,
             lagrangian=objective,
             feas_gap=0.0,
             sigma=0.0,
-            step_w=_norm(gz_new - gz),
+            step_w=_norm(tape.output - point.w),
             step_z=step_z,
             stop_metric=g_norm,
-            dist_w=dist_w,
-            dist_z=dist_z,
         )
-        return (t + 1, z_new, g_new, gz_new), record
+        return _GdPoint(t + 1, tape, g_new), record
 
     trace = RunTrace()
-    point = (1, z0, grad_h(loss, gen, tape0), tape0.output)
-    point = _drive(step, point, cfg.max_iters, cfg.grad_tol, trace, t0)
-    return point[1], trace
+    point = _GdPoint(1, tape0, grad_h(loss, gen, tape0))
+    point = _drive(step, point, cfg.max_iters, cfg.grad_tol, trace, t0, planted)
+    return point.z, trace
 
 
 def tune_gd_step(loss, gen, z0s, steps, budget):

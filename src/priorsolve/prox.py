@@ -30,20 +30,26 @@ def project_l1_ball(v, radius):
     thresholds v at tau.  r = 1 always passes in exact arithmetic; when
     radius is below half an ulp of u_1 none passes in floating point, and
     r = 1 gives tau = u_1, so the projection is 0, inside the ball.
+
+    The sums are taken in units of 2^k, with 2^(k-1) <= u_1 < 2^k for u_1 >=
+    1/2 and k = 0 below, so they cannot overflow; scaling by a power of two
+    is exact for every magnitude that stays normal.
     """
     if radius <= 0.0:
         raise ValueError("radius must be positive")
     v = np.asarray(v, dtype=float)
     mags = np.abs(v)
-    if mags.sum() <= radius:
+    k = max(0, int(np.frexp(mags.max(initial=0.0))[1]))
+    scaled, unit_radius = np.ldexp(mags, -k), np.ldexp(radius, -k)
+    if scaled.sum() <= unit_radius:
         return v.copy()
-    u = np.sort(mags)[::-1]
+    u = np.sort(scaled)[::-1]
     cumulative = np.cumsum(u)
     ranks = np.arange(1, u.size + 1)
-    candidates = (cumulative - radius) / ranks
+    candidates = (cumulative - unit_radius) / ranks
     passing = np.nonzero(u > candidates)[0]
     rho = int(passing[-1]) if passing.size else 0
-    tau = candidates[rho]
+    tau = np.ldexp(candidates[rho], k)
     return np.sign(v) * np.maximum(mags - tau, 0.0)
 
 

@@ -22,17 +22,6 @@ __all__ = [
     "write_summary_csv",
 ]
 
-SUMMARY_COLUMNS = (
-    "algo",
-    "final_obj",
-    "final_gap",
-    "iters",
-    "wall_ns",
-    "eta_hat",
-    "plateau",
-)
-
-
 @dataclass
 class TraceRecord:
     """State of one iteration, evaluated at the new iterate."""
@@ -153,9 +142,10 @@ def read_trace_csv(path):
     return trace
 
 
-def write_summary_csv(rows, path, columns=SUMMARY_COLUMNS):
-    """Write one row per dict in rows (by default one per algorithm) under
-    the header columns; a key outside columns raises ValueError."""
+def write_summary_csv(rows, path, columns):
+    """Write one row per dict in rows under the header columns (the caller
+    owns them: cli.SUMMARY_COLUMNS, harness.PLATEAU_COLUMNS); a key outside
+    columns raises ValueError."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)

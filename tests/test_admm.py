@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -29,7 +30,7 @@ from priorsolve.admm import (
     stopping_metric,
     suggest_step_sizes,
 )
-from priorsolve.generator import Activation, FeedforwardGenerator, Layer
+from priorsolve.generator import Activation, FeedforwardGenerator, Layer, _norm
 from priorsolve.losses import LeastSquares, QuadraticDenoise, SmoothLoss
 from priorsolve.prox import Regularizer
 
@@ -376,6 +377,31 @@ def test_run_trace_shape_and_iteration_count():
     assert all(b >= a for a, b in zip(walls, walls[1:]))  # cumulative clock
 
 
+@pytest.mark.parametrize("variant", ["linearized", "exact", "eadmm"])
+def test_run_stamps_the_planted_distances_of_the_state_it_hands_on(variant):
+    """Each record's dist_w / dist_z are the distances to (w*, z*) of the
+    state the observer receives with it; without planted they stay blank."""
+    gen = random_net(18, kinds=("elu", "tanh"))
+    z_star = np.array([0.2, 0.1])
+    w_star = gen.forward(z_star)
+    problem = quad_problem(gen, w_star + 0.05)
+    schedule = MultiscaleSchedule(2, 4) if variant == "eadmm" else None
+    w_step = "linearized" if variant == "linearized" else "exact"
+    cfg = base_config(max_iters=30, tau_c=1e-30, w_step=w_step, multiscale=schedule)
+    z0 = np.array([-0.3, 0.6])
+    seen = []
+    _, trace = run(
+        problem, cfg, initial_state(problem, cfg, z0), planted=(w_star, z_star),
+        observer=lambda state, record: seen.append((state, record)),
+    )
+    assert len(seen) == len(trace) == (24 if schedule else 30)
+    for state, record in seen:
+        assert record.dist_w == _norm(state.w - w_star)
+        assert record.dist_z == _norm(state.z - z_star)
+    _, bare = run(problem, cfg, initial_state(problem, cfg, z0))
+    assert {(r.dist_w, r.dist_z) for r in bare} == {(None, None)}
+
+
 def test_run_is_deterministic():
     gen = random_net(19)
     problem = quad_problem(gen, gen.forward(np.array([0.4, 0.0])) + 0.1)
@@ -529,6 +555,18 @@ def test_config_validation():
             AdmmState(w=np.zeros(2), lam=np.zeros(2), sigma=sigma, t=t, tape=None)
     cfg = base_config(w_step="exact", multiscale=MultiscaleSchedule(2, 5))
     assert cfg.multiscale.stages == 2
+
+
+def test_multiscale_budget_is_the_sum_of_its_stages_in_closed_form():
+    for stages in range(1, 13):
+        for base in (1, 3, 7):
+            sched = MultiscaleSchedule(stages, base)
+            stage_sum = sum(sched.stage_iters(k) for k in range(1, stages + 1))
+            assert sched.total_iters() == stage_sum
+    # a long plan costs no sum over ever-longer integers
+    start = time.perf_counter()
+    MultiscaleSchedule(10**5, 1).total_iters()
+    assert time.perf_counter() - start < 1.0
 
 
 def test_multiscale_equals_manually_stitched_stages():

@@ -843,12 +843,40 @@ def test_compare_with_every_step_given_estimates_no_geometry(
     def no_estimate(*args, **kwargs):
         raise AssertionError("geometry estimated although every step is given")
 
+    def no_suggestion(*args, **kwargs):
+        raise AssertionError("steps suggested although every step is given")
+
     monkeypatch.setattr(priorsolve.config, "estimate_geometry", no_estimate)
+    monkeypatch.setattr(priorsolve.config, "suggest_step_sizes", no_suggestion)
     write_generator(tmp_path)
     text = COMPARE + "alpha = 0.5\nbeta = 0.5\nstep = 0.1\n"
     argv = ["compare", str(write_config(tmp_path, text)), "--out-dir", str(tmp_path)]
     assert main(argv) == 0
     assert len(capsys.readouterr().out.splitlines()) == 3
+
+
+@pytest.mark.parametrize(
+    "edits",
+    [
+        [],  # admm and eadmm need alpha and beta
+        [("step = 0.5\n", "")],  # gd needs its step too: still one call
+    ],
+    ids=["reference", "no-step"],
+)
+def test_compare_resolves_its_steps_with_one_suggestion(
+    tmp_path, capsys, monkeypatch, edits
+):
+    counts = {"estimate_geometry": 0, "suggest_step_sizes": 0}
+    for name in counts:
+        def counted(*args, _name=name, _real=getattr(priorsolve.config, name), **kw):
+            counts[_name] += 1
+            return _real(*args, **kw)
+
+        monkeypatch.setattr(priorsolve.config, name, counted)
+    path = write_config(tmp_path, reference_config(edits))
+    assert main(["compare", str(path), "--out-dir", str(tmp_path / "out")]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3
+    assert counts == {"estimate_geometry": 1, "suggest_step_sizes": 1}
 
 
 def test_run_too_short_to_fit_a_rate_leaves_the_fit_blank(tmp_path, capsys):

@@ -14,7 +14,7 @@ from priorsolve.config import (
     ConfigError,
     load_problem,
     parse_config,
-    solver_settings,
+    solver_configs,
 )
 from priorsolve.generator import estimate_geometry
 from priorsolve.harness import INSTANCE_KINDS
@@ -238,7 +238,7 @@ def test_solver_settings_defaults(tmp_path):
     path = write_config(tmp_path, BASE)
     cfg = parse_config(path, command="run")
     loaded, inst = load_problem(cfg)
-    admm_cfg = solver_settings(cfg, loaded, inst)
+    admm_cfg = solver_configs(cfg, loaded, inst, (cfg.method,))[cfg.method]
     assert admm_cfg.rho == 0.5
     assert admm_cfg.alpha == 1.0  # 1 / smoothness of the quadratic loss
     assert admm_cfg.beta > 0.0
@@ -252,7 +252,7 @@ def test_solver_settings_explicit_steps(tmp_path):
     text = BASE.replace("rho = 0.5", "rho = 0.5\nalpha = 0.7\nbeta = 0.05")
     cfg = parse_config(write_config(tmp_path, text), command="run")
     loaded, inst = load_problem(cfg)
-    admm_cfg = solver_settings(cfg, loaded, inst)
+    admm_cfg = solver_configs(cfg, loaded, inst, (cfg.method,))[cfg.method]
     assert admm_cfg.alpha == 0.7 and admm_cfg.beta == 0.05
 
 
@@ -263,7 +263,7 @@ def test_solver_settings_eadmm(tmp_path):
     )
     cfg = parse_config(write_config(tmp_path, text), command="run")
     loaded, inst = load_problem(cfg)
-    admm_cfg = solver_settings(cfg, loaded, inst)
+    admm_cfg = solver_configs(cfg, loaded, inst, (cfg.method,))[cfg.method]
     assert admm_cfg.w_step == "exact"
     assert admm_cfg.multiscale.stages == 3
     assert admm_cfg.multiscale.base_iters == 4
@@ -285,10 +285,10 @@ def test_solver_settings_gd_step_fallback(tmp_path):
             command="compare",
         )
         loaded, inst = load_problem(cfg)
-        assert solver_settings(cfg, loaded, inst, "gd").step == 1.0 / kappa**2
+        assert solver_configs(cfg, loaded, inst, ("gd",))["gd"].step == 1.0 / kappa**2
         given = text.replace("rho = 0.5", "rho = 0.5\nstep = 0.3" + extra)
         cfg = parse_config(write_config(tmp_path, given), command="compare")
-        assert solver_settings(cfg, loaded, inst, "gd").step == 0.3
+        assert solver_configs(cfg, loaded, inst, ("gd",))["gd"].step == 0.3
 
 
 # the documented defaults of every setting a file may omit, by section

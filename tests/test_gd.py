@@ -93,6 +93,9 @@ def test_run_gd_trace_semantics():
         z = z_new
     np.testing.assert_array_equal(z_final, z)
     assert trace.column("t") == list(range(1, len(trace) + 1))
+    _, bare = run_gd(loss, gen, cfg, z0=z0)  # no planted solution
+    assert len(bare) == len(trace)
+    assert {(r.dist_w, r.dist_z) for r in bare} == {(None, None)}
 
 
 def test_run_gd_converges_on_planted_instance():

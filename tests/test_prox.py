@@ -72,6 +72,15 @@ def test_project_l1_ball_frozen_cases():
     # cumulative sum, so no rank passes the threshold test in floating point
     tiny = project_l1_ball(np.array([0.3, -0.1, 0.05]), 1e-17)
     assert np.abs(tiny).sum() <= 1e-17
+    # magnitudes whose sum overflows: the sums are taken in units of 2^k
+    np.testing.assert_allclose(
+        project_l1_ball(np.array([1e308, 1e308]), 1e308), [5e307, 5e307], rtol=1e-15
+    )
+    np.testing.assert_allclose(
+        project_l1_ball(np.array([1e308, -1e308, 5e307]), 1e308),
+        [5e307, -5e307, 0.0],
+        rtol=1e-15,
+    )
 
 
 def test_project_l1_ball_matches_qp_oracle():

@@ -18,7 +18,7 @@ from priorsolve.admm import (
     initial_state,
     run,
 )
-from priorsolve.config import load_problem, parse_config, solver_settings, step_geometry
+from priorsolve.config import load_problem, parse_config, solver_configs
 from priorsolve.gd import GdConfig, run_gd
 from priorsolve.losses import QuadraticDenoise
 from priorsolve.prox import Regularizer
@@ -129,20 +129,20 @@ def test_a_diverging_run_leaves_nonfinite_on_its_partial_trace(seed, after, solv
 
 @pytest.fixture(scope="module")
 def reference_compare():
-    """(settings, generator, instance, geometry) of configs/reference.ini
+    """(settings, generator, instance) of configs/reference.ini
     with noise, so no iterate reaches an exact fixed point."""
     run_settings = parse_config(CONFIGS / "reference.ini", command="compare")
     run_settings = dataclasses.replace(run_settings, noise_level=0.1, tau_c=1e-300)
     gen, inst = load_problem(run_settings)
-    return run_settings, gen, inst, step_geometry(run_settings, gen)
+    return run_settings, gen, inst
 
 
 @settings(max_examples=25, deadline=None)
 @given(stages=st.integers(1, 4), stage_iters=st.integers(1, 6))
 def test_eadmm_budget_is_what_its_stages_run(reference_compare, stages, stage_iters):
-    run_settings, gen, inst, geometry = reference_compare
+    run_settings, gen, inst = reference_compare
     run_settings = dataclasses.replace(run_settings, stages=stages, stage_iters=stage_iters)
-    cfg = solver_settings(run_settings, gen, inst, "eadmm", geometry)
+    cfg = solver_configs(run_settings, gen, inst, ("eadmm",))["eadmm"]
     _, trace = run(inst.problem, cfg, initial_state(inst.problem, cfg, np.zeros(2)))
     assert trace.stop_reason == "budget"
     assert len(trace) == cfg.max_iters

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from priorsolve.cli import SUMMARY_COLUMNS
 from priorsolve.trace import (
     TRACE_COLUMNS,
     RunTrace,
@@ -191,13 +192,13 @@ def test_summary_writer(tmp_path):
          "wall_ns": 0, "eta_hat": None, "plateau": None},
     ]
     path = tmp_path / "summary.csv"
-    write_summary_csv(rows, path)
+    write_summary_csv(rows, path, SUMMARY_COLUMNS)
     lines = path.read_text().splitlines()
     assert lines[0] == "algo,final_obj,final_gap,iters,wall_ns,eta_hat,plateau"
     assert lines[1] == "gd,0.5,0.0,10,0,0.93,1e-09"
     assert lines[2] == "admm,0.25,0.0001,12,0,,"
     with pytest.raises(ValueError):
-        write_summary_csv([{"algo": "x", "bogus": 1}], path)
+        write_summary_csv([{"algo": "x", "bogus": 1}], path, SUMMARY_COLUMNS)
 
 
 table_cells = (
