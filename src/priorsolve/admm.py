@@ -416,14 +416,16 @@ def _reciprocal(den, step, cause):
     return value
 
 
-def suggest_step_sizes(nu, kappa_hat, rho):
-    """(alpha, beta, gd_step) for a loss of smoothness nu: alpha = 1/nu while
-    rho < nu - 2 ulp(nu), else 1/(nu + rho), so alpha (nu + rho) < 2 keeps the
-    linearized w step stable (1/nu may round up, and within two ulps of nu
-    that reaches 2); beta = 1/(rho kappa_hat^2); gd_step = 1/(nu kappa_hat^2).
-    Raises ValueError when kappa_hat is not positive and finite (a sampled
-    estimate of an overflowing generator is inf or nan), when kappa_hat^2
-    overflows, or when a step overflows to inf or underflows to 0.0."""
+def suggest_step_sizes(nu, kappa_hat, rho, *, steps=("alpha", "beta", "gd_step")):
+    """The named steps, in that order, for a loss of smoothness nu: alpha =
+    1/nu while rho < nu - 2 ulp(nu), else 1/(nu + rho), so alpha (nu + rho) < 2
+    keeps the linearized w step stable (1/nu may round up, and within two ulps
+    of nu that reaches 2); beta = 1/(rho kappa_hat^2); gd_step =
+    1/(nu kappa_hat^2).  Raises ValueError when kappa_hat is not positive and
+    finite (a sampled estimate of an overflowing generator is inf or nan),
+    when kappa_hat^2 overflows, or when a named step overflows to inf or
+    underflows to 0.0; a step left unnamed is not checked, so a caller fails
+    only on the steps it takes."""
     if not 0.0 < kappa_hat < math.inf:  # also false for nan
         raise ValueError(f"kappa_hat must be positive and finite, got {kappa_hat}")
     if not rho > 0.0:
@@ -434,8 +436,11 @@ def suggest_step_sizes(nu, kappa_hat, rho):
         kappa_sq = kappa_hat**2
     except OverflowError:
         raise ValueError("kappa_hat too large: kappa_hat^2 overflows") from None
-    beta = _reciprocal(rho * kappa_sq, "beta = 1/(rho kappa_hat^2)", "rho")
     below = rho < nu - 2.0 * math.ulp(nu)
-    alpha = _reciprocal(nu if below else nu + rho, "alpha", "nu + rho")
-    gd_step = _reciprocal(nu * kappa_sq, "gd_step = 1/(nu kappa_hat^2)", "nu")
-    return alpha, beta, gd_step
+    rules = {  # checked in this order, whatever the order of steps
+        "beta": (rho * kappa_sq, "beta = 1/(rho kappa_hat^2)", "rho"),
+        "alpha": (nu if below else nu + rho, "alpha", "nu + rho"),
+        "gd_step": (nu * kappa_sq, "gd_step = 1/(nu kappa_hat^2)", "nu"),
+    }
+    values = {name: _reciprocal(*rule) for name, rule in rules.items() if name in steps}
+    return tuple(values[name] for name in steps)

@@ -277,7 +277,8 @@ def cmd_compare(args):
 def cmd_estimate_geometry(args):
     gen = open_generator(args.generator)
     est = estimate_geometry(gen, args.pairs, seed=args.seed)
-    alpha, beta, _ = suggest_step_sizes(args.nu_loss, est.kappa_hat, args.rho)
+    alpha, beta = suggest_step_sizes(
+        args.nu_loss, est.kappa_hat, args.rho, steps=("alpha", "beta"))
     for field in fields(est):
         print(f"{field.name}={_format(getattr(est, field.name))}")
     print(f"suggested_alpha={_format(alpha)}")

@@ -262,28 +262,29 @@ def solver_configs(settings, gen, inst, methods):
     """{method: solver config} for each of methods: GdConfig for gd,
     AdmmConfig for admm and eadmm.  When some method omits its step (alpha
     and beta for admm and eadmm, step for gd), one geometry estimate and one
-    admm.suggest_step_sizes call on the loss smoothness nu_L fill them all."""
-    given = (settings.alpha, settings.beta, settings.step)
-    alpha, beta, step = given
+    admm.suggest_step_sizes call on the loss smoothness nu_L fill them all,
+    and range-check only those: a step no method takes cannot fail the run."""
+    steps = {"alpha": settings.alpha, "beta": settings.beta, "gd_step": settings.step}
     if not set(methods) <= set(METHODS):
         raise ValueError(f"unknown method in {methods!r}")
-    if any(None in ((step,) if m == "gd" else (alpha, beta)) for m in methods):
+    taken = {n for m in methods
+             for n in (("gd_step",) if m == "gd" else ("alpha", "beta"))}
+    if missing := tuple(n for n in steps if n in taken and steps[n] is None):
         est = estimate_geometry(gen, settings.geometry_pairs, seed=0)
         nu = inst.problem.loss.convexity_constants()[1]
-        suggested = suggest_step_sizes(nu, est.kappa_hat, settings.rho)
-        alpha, beta, step = (s if g is None else g for g, s in zip(given, suggested))
+        steps.update(zip(missing, suggest_step_sizes(
+            nu, est.kappa_hat, settings.rho, steps=missing)))
 
     def config(method):
         if method == "gd":
-            return GdConfig(
-                step=step, max_iters=settings.max_iters, grad_tol=settings.grad_tol
-            )
+            return GdConfig(step=steps["gd_step"], max_iters=settings.max_iters,
+                            grad_tol=settings.grad_tol)
         schedule = None
         if method == "eadmm":
             schedule = MultiscaleSchedule(settings.stages, settings.stage_iters)
         return AdmmConfig(
-            rho=settings.rho, alpha=alpha, beta=beta, sigma0=settings.sigma0,
-            tau_c=settings.tau_c,
+            rho=settings.rho, alpha=steps["alpha"], beta=steps["beta"],
+            sigma0=settings.sigma0, tau_c=settings.tau_c,
             max_iters=schedule.total_iters() if schedule else settings.max_iters,
             w_step="exact" if schedule else "linearized", multiscale=schedule,
         )

@@ -81,7 +81,6 @@ def run_gd(loss, gen, cfg, z0, planted=None):
     raises NonFiniteError with the partial trace attached, as run does.
     """
     t0 = time.perf_counter_ns()
-    z0 = np.asarray(z0, dtype=float)
     tape0 = gen.forward(z0, return_tape=True)
 
     def step(point):

@@ -311,9 +311,9 @@ def estimate_geometry(gen, n_pairs, seed):
     ValueError, as do an n_pairs too large to allocate and a drawn direction
     too short to normalize.  The pairs are then evaluated in blocks of at
     most _BLOCK_ELEMENTS / (2 output_dim) pairs (at least one): one batched
-    forward pass over a block's points, and one batched JVP on the z1 rows
-    of its tape for the linearizations DG(z1)(z2 - z1); no Jacobian is
-    formed.  Every pair's values are the same bits for every block size.
+    forward pass over a block's points, and one batched JVP on its tape, z2
+    rows with a zero tangent, for the linearizations DG(z1)(z2 - z1); no
+    Jacobian is formed, and every pair's bits are the same for any block size.
     """
     if n_pairs < 1:
         raise ValueError("n_pairs must be at least 1")
@@ -347,18 +347,11 @@ def estimate_geometry(gen, n_pairs, seed):
         out = tape.output
         dg = out[b:] - out[:b]
         ratios[lo:lo + b] = np.sqrt(np.vecdot(dg, dg)) / d
-        # BLAS rounds a one-row product (gemv) differently from the rows of a
-        # larger one, and rows of larger ones do not depend on the row count,
-        # so the JVP runs on at least two rows (z1 and z2 of a one-pair
-        # block, the second with a zero tangent) to keep every pair's value
-        # the same for every n_pairs and block size
-        rows = max(b, 2)
-        head = Tape(
-            points[:rows], out[:rows], tuple(a[:rows] for a in tape.preacts), tape.layers
-        )
-        steps = np.zeros((rows, dim))
+        # 2b >= 2 rows: BLAS rounds a one-row product (gemv) differently, so
+        # the z2 rows keep every pair's bits the same for every block size
+        steps = np.zeros_like(points)
         steps[:b] = points[b:] - points[:b]
-        rem = dg - gen.jvp(head, steps)[:b]
+        rem = dg - gen.jvp(tape, steps)[:b]
         curvatures[lo:lo + b] = 2.0 * np.sqrt(np.vecdot(rem, rem)) / d**2
     return GeometryEstimate(
         iota_hat=float(ratios.min()),

@@ -8,7 +8,7 @@ are provided:
 ``denoise_l2``
     L(w) = 0.5 ||w - x||^2 with x = w* + noise; no regularizers.
 ``denoise_linf``
-    L(w) = gamma * 0.5 ||w - x||^2 plus the sup-norm penalty
+    L(w) = gamma ||w - x||^2 plus the sup-norm penalty
     R(w) = weight * ||w - x||_inf, both anchored at the noisy observation.
 ``compressive_sensing``
     L(w) = 0.5 ||A w - b||^2 with A Gaussian (entries N(0, 1/m)),
@@ -114,9 +114,10 @@ def build_instance(
 ):
     """Draw a planted inverse problem for the generator.
 
-    The random stream is consumed in a fixed order (latent point, then noise,
-    then the measurement matrix where applicable), so instances with the same
-    seed share their planted point across kinds.
+    The random stream is consumed in a fixed order (latent point, then the
+    measurement matrix where applicable, then the noise), so instances with
+    the same seed share their planted point across kinds, and the two
+    denoising kinds their noisy observation.
     """
     if kind not in INSTANCE_KINDS:
         raise ValueError(f"unknown instance kind {kind!r}")
@@ -134,25 +135,21 @@ def build_instance(
     z_star = _planted_latent(rng, gen.input_dim, gen.domain_radius)
     w_star = gen.forward(z_star)
     d = gen.output_dim
-    zero_w = Regularizer.zero()
-    zero_z = Regularizer.zero()
-
-    if kind == "denoise_l2":
-        target = w_star + noise_level * rng.standard_normal(d)
-        loss = QuadraticDenoise(target)
-        reg_w = zero_w
-    elif kind == "denoise_linf":
-        target = w_star + noise_level * rng.standard_normal(d)
-        loss = ScaledQuadratic(target, gamma)
-        reg_w = Regularizer.linf(linf_weight, center=target)
-    else:  # compressive_sensing
+    reg_w = Regularizer.zero()
+    if kind == "compressive_sensing":
         m = int(math.ceil(measurement_ratio * d))
         matrix = rng.standard_normal((m, d)) / np.sqrt(m)
         rhs = matrix @ w_star + noise_level * rng.standard_normal(m)
         loss = LeastSquares(matrix, rhs)
-        reg_w = zero_w
+    else:  # the two denoising kinds share the noisy observation
+        target = w_star + noise_level * rng.standard_normal(d)
+        if kind == "denoise_l2":
+            loss = QuadraticDenoise(target)
+        else:
+            loss = ScaledQuadratic(target, gamma)
+            reg_w = Regularizer.linf(linf_weight, center=target)
 
-    problem = SplitProblem(loss=loss, gen=gen, reg_w=reg_w, reg_z=zero_z)
+    problem = SplitProblem(loss=loss, gen=gen, reg_w=reg_w, reg_z=Regularizer.zero())
     return PlantedInstance(
         problem=problem,
         w_star=w_star,
@@ -305,10 +302,8 @@ def plateau_vs_rho(
     loss = QuadraticDenoise(np.tile(targets, tiles))
     w_star = np.tile([inst.w_star for inst in insts], tiles)
     rho = np.repeat(rho_values, len(seeds))
-    beta = np.repeat(
-        [suggest_step_sizes(loss.nu, est.kappa_hat, r)[1] for r in rho_values],
-        len(seeds),
-    )
+    beta = np.repeat([suggest_step_sizes(loss.nu, est.kappa_hat, r, steps=("beta",))[0]
+                      for r in rho_values], len(seeds))
     rho_rows = np.repeat(rho[:, None], gen.output_dim, axis=1)
     beta_rows = np.repeat(beta[:, None], gen.input_dim, axis=1)
 

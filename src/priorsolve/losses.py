@@ -22,7 +22,6 @@ w has an exact step only for a loss with mu = nu (Hessian nu I): then it is
 prox_{R/(nu+rho)} of w_minimizer (admm.exact_w_min).
 """
 
-import functools
 import math
 import sys
 
@@ -89,6 +88,7 @@ class QuadraticDenoise(SmoothLoss):
         if self.target.ndim not in (1, 2):
             raise ValueError("target must be a vector or a stack of vectors")
         self.dim = self.target.shape[-1]
+        self._nu_target = self.nu * self.target
 
     @property
     def shape(self):
@@ -106,15 +106,11 @@ class QuadraticDenoise(SmoothLoss):
     def convexity_constants(self):
         return (self.nu, self.nu)
 
-    @functools.cached_property
-    def _nu_target(self):
-        # on first use, so ScaledQuadratic's nu = 2 gamma is already set
-        return self.nu * self.target
-
     def w_minimizer(self, gz, lam, rho):
-        """(nu target - lam + rho gz) / (nu + rho), nu target computed once.
-        With a (B, d) stack of targets, gz and lam are (B, d) and rho may be a
-        (B, 1) column or its (B, d) repeat: each row is solved with its rho."""
+        """(nu target - lam + rho gz) / (nu + rho), nu target computed at
+        construction.  With a (B, d) stack of targets, gz and lam are (B, d)
+        and rho may be a (B, 1) column or its (B, d) repeat: each row is
+        solved with its rho."""
         return (self._nu_target - lam + rho * gz) / (self.nu + rho)
 
 
@@ -128,9 +124,9 @@ class ScaledQuadratic(QuadraticDenoise):
     def __init__(self, target, gamma):
         if not 0.0 < gamma < np.inf:  # also false for nan
             raise ValueError("gamma must be positive and finite")
-        super().__init__(target)
         self.gamma = float(gamma)
         self.nu = 2.0 * self.gamma
+        super().__init__(target)
 
     # own entries: bench/tracer.py wraps targets found in the class __dict__
     value = QuadraticDenoise.value

@@ -770,7 +770,9 @@ ELU_ALPHA_NOT_ONE = ("cannot load generator: layer 0: 'elu_alpha' must be 1, whe
          f"an array with shape ({2 * 10**14}, 2) and data type float64"),
         # a step whose denominator underflows to 0.0, or that overflows to inf
         (["estimate-geometry", "--rho", "5e-324"], KAPPA_HALF, BETA_OVERFLOWS),
-        (["estimate-geometry", "--nu-loss", "5e-324"], KAPPA_HALF,
+        # gd takes its suggested step, and nu_L = 2 gamma = 1e-323
+        (["compare"], [("kind = denoise_l2", "kind = denoise_linf\ngamma = 5e-324"),
+                       ("step = 0.5\n", "")],
          "nu too small: gd_step = 1/(nu kappa_hat^2) overflows"),
         (["plateau-sweep", "--rho-values", "5e-324,1", "--iters", "3"], KAPPA_HALF,
          BETA_OVERFLOWS),
@@ -790,9 +792,11 @@ ELU_ALPHA_NOT_ONE = ("cannot load generator: layer 0: 'elu_alpha' must be 1, whe
     ],
 )
 def test_input_check_fails_with_one_line(tmp_path, capsys, argv, edits, message):
-    # run edits the reference config's text, estimate-geometry the fields of
-    # an orthonormal generator's JSON document
-    if argv[0] == "run":
+    # run and compare edit the reference config's text, estimate-geometry the
+    # fields of an orthonormal generator's JSON document
+    if argv[0] == "compare":
+        argv = [*argv, "--out-dir", str(tmp_path / "o")]
+    if argv[0] in ("run", "compare"):
         argv = [*argv, str(write_config(tmp_path, reference_config(edits)))]
     else:
         doc = json.loads(write_orthonormal_generator(tmp_path).read_text())
@@ -920,6 +924,54 @@ def test_estimate_geometry(tmp_path, capsys):
     assert values["n_pairs"] == "400"
     assert float(values["suggested_alpha"]) == 1.0 / 3.0  # rho = 2 >= nu = 1
     assert abs(float(values["suggested_beta"]) - 0.5) < 1e-6
+
+
+@pytest.mark.parametrize("nu_loss", ["1e-310", "1e308"])
+def test_estimate_geometry_checks_only_the_steps_it_prints(capsys, nu_loss):
+    # gd_step = 1/(nu kappa_hat^2) overflows or underflows here, but
+    # estimate-geometry prints alpha and beta only
+    generator = str(CONFIGS / "reference_generator.json")
+    assert main(["estimate-geometry", "--generator", generator]) == 0
+    estimate = capsys.readouterr().out.splitlines()[:-2]
+    argv = ["estimate-geometry", "--generator", generator, "--nu-loss", nu_loss]
+    assert main([*argv, "--rho", "1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    alpha = {"1e-310": "1.0", "1e308": "1e-308"}[nu_loss]
+    assert captured.out.splitlines() == [
+        *estimate, f"suggested_alpha={alpha}", "suggested_beta=0.45558047245885336"]
+
+
+@pytest.mark.parametrize(
+    "edits, steps",
+    [
+        # nu_L = 2 gamma: gd_step = 1/(nu_L kappa_hat^2) overflows, but gd
+        # takes the given step; alpha and beta are suggested
+        ([("kind = denoise_l2", "kind = denoise_linf\ngamma = 1e-310")],
+         "alpha = 10.0\nbeta = 4.555804724588533\n"),
+        # beta = 1/(rho kappa_hat^2) overflows, but admm and eadmm take the
+        # given alpha and beta; gd's step is suggested
+        ([("rho = 0.1", "rho = 1e-320\nalpha = 0.5\nbeta = 0.5"), ("step = 0.5\n", "")],
+         "step = 0.45558047245885336\n"),
+    ],
+    ids=["gd-step-given", "alpha-beta-given"],
+)
+def test_compare_checks_only_the_suggested_steps_it_takes(
+    tmp_path, capsys, edits, steps
+):
+    # each config runs as it does with its suggested steps written in
+    outputs, write_in = [], ("max_iters = 3000\n", "max_iters = 3000\n" + steps)
+    for name, text in (("suggested", reference_config(edits)),
+                       ("written", reference_config([*edits, write_in]))):
+        out = tmp_path / name
+        argv = ["compare", str(write_config(tmp_path, text)), "--out-dir", str(out)]
+        assert main(argv) == 0
+        files = {p.name: p.read_bytes() for p in out.iterdir()}
+        outputs.append((capsys.readouterr(), files))
+    (suggested, files), (written, written_files) = outputs
+    assert suggested.err == written.err == ""
+    assert suggested.out == written.out
+    assert len(files) == 4 and files == written_files
 
 
 @pytest.mark.parametrize(

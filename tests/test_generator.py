@@ -319,6 +319,17 @@ def test_geometry_blocks_keep_nan_and_inf_extremes(monkeypatch):
     assert repr(blocked) == repr(whole)
 
 
+def test_geometry_bits_do_not_depend_on_the_block_size(monkeypatch):
+    # a one-pair block runs its JVP on two rows, z1 and z2, as every larger
+    # block does on its 2b: at these widths a one-row product (gemv) rounds
+    # differently from the rows of a larger one
+    gen = random_net(21, sizes=(20, 256, 784))
+    whole = estimate_geometry(gen, n_pairs=50, seed=13)
+    for pairs in (1, 2, 7):
+        monkeypatch.setattr(generator, "_BLOCK_ELEMENTS", 2 * gen.output_dim * pairs)
+        assert repr(estimate_geometry(gen, n_pairs=50, seed=13)) == repr(whole)
+
+
 def test_geometry_memory_does_not_grow_with_the_pair_count(tmp_path):
     # the benchmark's 20 -> 256 -> 784 generator: one batch of 2000 pairs
     # peaked at 97 MiB, blocks of 41 pairs at under 4 MiB

@@ -89,6 +89,23 @@ def test_denoise_linf_shape():
     assert np.array_equal(inst.problem.reg_w.center, loss.target)
 
 
+def test_instance_kinds_of_one_seed_share_their_draws():
+    # the stream gives z* first, so every kind plants the same point, and
+    # the two denoising kinds observe it through the same noise draw
+    gen = random_net(seed=5)
+    l2, linf, cs = (
+        build_instance(gen, kind, noise_level=0.3, seed=4)
+        for kind in ("denoise_l2", "denoise_linf", "compressive_sensing")
+    )
+    for inst in (linf, cs):
+        assert np.array_equal(inst.z_star, l2.z_star)
+        assert np.array_equal(inst.w_star, l2.w_star)
+    target = l2.problem.loss.target
+    assert not np.array_equal(target, l2.w_star)
+    assert np.array_equal(linf.problem.loss.target, target)
+    assert np.array_equal(linf.problem.reg_w.center, target)
+
+
 def test_compressive_sensing_shape():
     gen = random_net(seed=5)
     d = gen.output_dim
