@@ -423,19 +423,21 @@ def suggest_step_sizes(nu, kappa_hat, rho, *, steps=("alpha", "beta", "gd_step")
     of nu that reaches 2); beta = 1/(rho kappa_hat^2); gd_step =
     1/(nu kappa_hat^2).  Raises ValueError when kappa_hat is not positive and
     finite (a sampled estimate of an overflowing generator is inf or nan),
-    when kappa_hat^2 overflows, or when a named step overflows to inf or
-    underflows to 0.0; a step left unnamed is not checked, so a caller fails
-    only on the steps it takes."""
+    when beta or gd_step is named and kappa_hat^2 overflows, or when a named
+    step overflows to inf or underflows to 0.0; a step left unnamed is not
+    checked, so a caller fails only on the steps it takes."""
     if not 0.0 < kappa_hat < math.inf:  # also false for nan
         raise ValueError(f"kappa_hat must be positive and finite, got {kappa_hat}")
     if not rho > 0.0:
         raise ValueError("rho must be strictly positive")
     if not nu > 0.0:
         raise ValueError("loss smoothness constant must be strictly positive")
-    try:  # a float power raises where a product would round to inf
-        kappa_sq = kappa_hat**2
-    except OverflowError:
-        raise ValueError("kappa_hat too large: kappa_hat^2 overflows") from None
+    kappa_sq = math.nan  # alpha alone does not read it
+    if "beta" in steps or "gd_step" in steps:
+        try:  # a float power raises where a product would round to inf
+            kappa_sq = kappa_hat**2
+        except OverflowError:
+            raise ValueError("kappa_hat too large: kappa_hat^2 overflows") from None
     below = rho < nu - 2.0 * math.ulp(nu)
     rules = {  # checked in this order, whatever the order of steps
         "beta": (rho * kappa_sq, "beta = 1/(rho kappa_hat^2)", "rho"),

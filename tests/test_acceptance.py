@@ -478,6 +478,48 @@ def test_acceptance_07_admm_gd_bridge():
     )
 
 
+@pytest.mark.parametrize("hidden", ["elu", "softplus", "tanh", "sigmoid"])
+def test_acceptance_07_admm_gd_bridge_at_benchmark_scale(tmp_path, hidden):
+    # the cs instance of CS_CONFIG under eadmm's exact w step, at the beta
+    # compare suggests and from compare's start z0 = 0; the bound is checked
+    # after every step, on the way to and at feasibility gap 1e-3
+    start = time.perf_counter()
+    failures = []
+    path = tmp_path / "generator.json"
+    path.write_text(json.dumps(_cs_generator_doc(hidden)))
+    gen = load_generator(path)
+    est = estimate_geometry(gen, 200, seed=0)
+    inst = build_instance(gen, "compressive_sensing", noise_level=0.0, seed=0)
+    loss, rho = inst.problem.loss, 1.0
+    alpha, beta = suggest_step_sizes(
+        loss.convexity_constants()[1], est.kappa_hat, rho, steps=("alpha", "beta"))
+    cfg = AdmmConfig(
+        rho=rho, alpha=alpha, beta=beta, sigma0=1e-4, tau_c=1e-300,
+        max_iters=150, w_step="exact",
+    )
+    ratios, gaps = [], []
+
+    def check(state, record):
+        actual = gd_admm_step_gap(loss, gen, beta, rho, state)
+        bound = gd_admm_discrepancy(
+            loss, gen, 1.2 * est.kappa_hat, beta, state.sigma, state.w, state.z
+        )
+        ratios.append(actual / bound)
+        gaps.append(record.feas_gap)
+
+    z0 = np.zeros(gen.input_dim)
+    run(inst.problem, cfg, initial_state(inst.problem, cfg, z0), observer=check)
+    if not min(gaps) <= 1e-3:
+        failures.append(f"never reached feasibility gap 1e-3 (least {min(gaps):.1e})")
+    if max(ratios) > 1.0:
+        failures.append(f"one-step discrepancy {max(ratios):.3f}x its bound")
+    _verdict(
+        7, f"one-step agreement with gradient descent on the cs run, {hidden} hidden "
+        "layer", failures, time.perf_counter() - start, 30.0,
+        f"worst discrepancy/bound ratio {max(ratios):.3f} over {len(ratios)} steps",
+    )
+
+
 def test_acceptance_08_geometry_estimators():
     start = time.perf_counter()
     failures = []

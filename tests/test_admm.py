@@ -730,6 +730,8 @@ def test_suggest_step_sizes():
     # a float power raises OverflowError where a product rounds to inf
     with pytest.raises(ValueError, match=r"kappa_hat too large: kappa_hat\^2 overflows"):
         suggest_step_sizes(nu, 1e160, rho=1.0)
+    # but alpha alone does not square kappa_hat
+    assert suggest_step_sizes(1.0, 1e160, 0.1, steps=("alpha",)) == (1.0,)
 
 
 positive = st.floats(1e-6, 1e6)

@@ -974,6 +974,29 @@ def test_compare_checks_only_the_suggested_steps_it_takes(
     assert len(files) == 4 and files == written_files
 
 
+def test_compare_suggests_alpha_alone_on_an_overflowing_kappa_hat(tmp_path, capsys):
+    # kappa_hat = 1e160 squares to inf, but beta and step are given, and the
+    # suggested alpha = 1/nu_L = 1.0 does not read it: the config runs as it
+    # does with alpha written in, into the same numerical failure
+    doc = {"schema": 1, "input_dim": 2, "domain_radius": 1e-10, "layers": [
+        {"activation": "identity", "weights": [[1e160, 0.0], [0.0, 1e160]]}]}
+    (tmp_path / "huge.json").write_text(json.dumps(doc))
+    edits = [(f"= {CONFIGS}/reference_generator.json", f"= {tmp_path}/huge.json"),
+             ("rho = 0.1", "rho = 0.1\nbeta = 0.5")]
+    outputs = []
+    for name, alpha in (("suggested", ""), ("written", "\nalpha = 1.0")):
+        text = reference_config([*edits, ("beta = 0.5", "beta = 0.5" + alpha)])
+        out = tmp_path / name
+        argv = ["compare", str(write_config(tmp_path, text)), "--out-dir", str(out)]
+        code = main(argv)
+        outputs.append((code, capsys.readouterr(),
+                        {p.name: p.read_bytes() for p in out.iterdir()}))
+    suggested, written = outputs
+    assert suggested == written
+    assert written[0] == 2
+    assert written[1].err == "error: numerical: non-finite values in z at iteration 1\n"
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [
@@ -1212,11 +1235,32 @@ REFERENCE_COMPARE_STDOUT = [
 ]
 
 
+def block_buffered_env():
+    """The environment without PYTHONUNBUFFERED, so a child's stdout is
+    block-buffered, as a user's file or pipe gets it, and an exit that skips
+    the flush loses the output."""
+    return {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
+def run_module(argv, prefix=(), **kwargs):
+    """subprocess.run of `python -m priorsolve argv` after prefix, block-
+    buffered, from the directory that holds the imported package, so the
+    child finds it without PYTHONPATH (pytest's pythonpath setting reaches
+    only this process)."""
+    return subprocess.run(
+        [*prefix, sys.executable, "-m", "priorsolve", *argv],
+        cwd=Path(priorsolve.__file__).parent.parent,
+        env=block_buffered_env(),
+        **kwargs,
+    )
+
+
 @pytest.mark.parametrize("case", ["compare", "malformed-config", "diverging-run"])
 def test_module_entry_point(tmp_path, case):
-    # `python -m priorsolve` exits through priorsolve.__main__.entry, which
-    # freezes the heap once main() returns; the process must still keep
-    # main()'s exit code and flush every file and stream it wrote
+    # `python -m priorsolve` runs priorsolve.__main__.entry, which leaves
+    # through os._exit once main() returns, skipping interpreter teardown;
+    # the process must still keep main()'s exit code and flush every file
+    # and stream it wrote
     out = tmp_path / "out"
     if case == "compare":
         argv, code = ["compare", str(CONFIGS / "reference.ini"), "--out-dir", str(out)], 0
@@ -1226,18 +1270,7 @@ def test_module_entry_point(tmp_path, case):
         write_generator(tmp_path)
         text = BASE.format(trace=out).replace("rho = 0.5", "rho = 0.5\nalpha = 1e12")
         argv, code = ["run", str(write_config(tmp_path, text + "zero_wall = true\n"))], 2
-    proc = subprocess.run(
-        [sys.executable, "-m", "priorsolve", *argv],
-        capture_output=True,
-        text=True,
-        # the directory that holds the imported package, so the child finds
-        # it without PYTHONPATH (pytest's pythonpath setting reaches only
-        # this process)
-        cwd=Path(priorsolve.__file__).parent.parent,
-        # block-buffered stdout, as a user's pipe gets it, so an exit that
-        # skips the flush loses the output
-        env={k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
-    )
+    proc = run_module(argv, capture_output=True, text=True)
     assert proc.returncode == code
     if case == "compare":
         assert proc.stdout.splitlines() == REFERENCE_COMPARE_STDOUT
@@ -1252,6 +1285,72 @@ def test_module_entry_point(tmp_path, case):
         iteration = int(err[0].rsplit(" ", 1)[1])
         assert iteration > 1
         assert read_trace_csv(out).column("t") == list(range(1, iteration))
+
+
+# stdout of the plateau-sweep that writes the REFERENCE_SWEEP_SHA256 file
+REFERENCE_SWEEP_STDOUT = [
+    "rho=1 gap_plateau=0.08601274690201545 err_plateau=0.1614793635820906",
+    "rho=2 gap_plateau=0.049321658409583045 err_plateau=0.1602086225279553",
+    "rho=4 gap_plateau=0.027864969834635045 err_plateau=0.15593672672190187",
+    "rho=8 gap_plateau=0.015031281575981091 err_plateau=0.1416796082726817",
+]
+
+
+@pytest.mark.parametrize("command", ["compare", "plateau-sweep"])
+def test_module_entry_flushes_stdout_to_a_regular_file(tmp_path, command):
+    # stdout and stderr in regular files, as the benchmark runs each job: the
+    # lines are still buffered when main() returns, and entry() must flush
+    # them before it leaves through os._exit
+    out = tmp_path / "out"
+    if command == "compare":
+        argv = ["compare", str(CONFIGS / "reference.ini"), "--out-dir", str(out)]
+        lines, hashes = REFERENCE_COMPARE_STDOUT, REFERENCE_COMPARE_SHA256
+    else:
+        out.mkdir()
+        argv = [
+            "plateau-sweep", "--generator", str(CONFIGS / "reference_generator.json"),
+            "--rho-values", "1,2,4,8", "--seeds", "0,1,2", "--iters", "1500",
+            "--out", str(out / "plateaus.csv"),
+        ]
+        lines, hashes = REFERENCE_SWEEP_STDOUT, {"plateaus.csv": REFERENCE_SWEEP_SHA256}
+    stdout, stderr = tmp_path / "stdout.txt", tmp_path / "stderr.txt"
+    with open(stdout, "wb") as out_file, open(stderr, "wb") as err_file:
+        proc = run_module(argv, stdout=out_file, stderr=err_file)
+    assert proc.returncode == 0
+    assert stderr.read_bytes() == b""
+    assert stdout.read_text().splitlines() == lines
+    assert {p.name: sha256(p) for p in out.iterdir()} == hashes
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs Linux /dev/full")
+def test_module_entry_on_a_full_stdout_fails_as_any_script(tmp_path):
+    # every write to /dev/full fails with ENOSPC, so entry()'s flush raises
+    # and entry() returns: the interpreter's exit then reports the lost
+    # output and sets the exit code, as it does for a one-line script
+    out = tmp_path / "out"
+    argv = ["compare", str(CONFIGS / "reference.ini"), "--out-dir", str(out)]
+    with open("/dev/full", "wb") as full:
+        proc = run_module(argv, stdout=full, stderr=subprocess.PIPE)
+        script = subprocess.run(
+            [sys.executable, "-c", "print('x')"], stdout=full, stderr=subprocess.PIPE,
+            env=block_buffered_env(),
+        )
+    assert proc.returncode == script.returncode == 120
+    assert proc.stderr == script.stderr
+    assert proc.stderr.splitlines()[-1] == b"OSError: [Errno 28] No space left on device"
+    assert {p.name: sha256(p) for p in out.iterdir()} == REFERENCE_COMPARE_SHA256
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs a POSIX shell")
+def test_module_entry_with_stdout_closed(tmp_path):
+    # a process started with descriptor 1 closed has sys.stdout None, and
+    # print() writes nothing; entry() flushes only the streams it has
+    out = tmp_path / "out"
+    argv = ["compare", str(CONFIGS / "reference.ini"), "--out-dir", str(out)]
+    proc = run_module(argv, stdout=None, stderr=subprocess.PIPE,
+                      prefix=("sh", "-c", 'exec "$@" >&-', "sh"))
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert {p.name: sha256(p) for p in out.iterdir()} == REFERENCE_COMPARE_SHA256
 
 
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -1323,14 +1422,22 @@ def test_module_entry_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path)
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs Linux /proc")
 def test_module_entry_leaves_one_thread(tmp_path):
     # with OpenBLAS pinned before numpy loads, the process holds no BLAS
-    # worker threads, so compare's os.fork() runs in a one-thread process
+    # worker threads, so compare's os.fork() runs in a one-thread process.
+    # entry() does not return, so the count is taken in os._exit, which it
+    # calls with main()'s code; wrapping priorsolve.cli.main instead would
+    # import numpy here, before entry() pins the threads
     path = write_orthonormal_generator(tmp_path)
     code = (
         "import os, sys\n"
         "from priorsolve.__main__ import entry\n"
         f"sys.argv[1:] = ['estimate-geometry', '--generator', {str(path)!r}, '--pairs', '50']\n"
-        "assert entry() == 0\n"
-        "print('threads', len(os.listdir('/proc/self/task')))\n"
+        "leave = os._exit\n"
+        "def counted(code):\n"
+        "    assert code == 0\n"
+        "    print('threads', len(os.listdir('/proc/self/task')), flush=True)\n"
+        "    leave(code)\n"
+        "os._exit = counted\n"
+        "entry()\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
